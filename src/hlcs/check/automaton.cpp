@@ -1,7 +1,5 @@
 #include "hlcs/check/automaton.hpp"
 
-#include <functional>
-
 namespace hlcs::check {
 
 namespace {
@@ -203,6 +201,22 @@ synth::Netlist lower(const Automaton& a) {
   return nl;
 }
 
+AutomatonEval::AutomatonEval(const Automaton& a)
+    : a_(a),
+      vars_(a.signals.size() + a.states.size(), 0),
+      nodes_(a.arena, vars_.size()) {
+  // Leaves are checked by ArenaEval; roots are checked here, so step()
+  // reads node values unchecked.
+  auto check_root = [&](ExprId root) {
+    HLCS_ASSERT(root < a.arena.size(), a.name + ": bad automaton root");
+  };
+  for (const AutomatonState& s : a.states) check_root(s.next);
+  for (const PropertyAutomaton& p : a.props) {
+    for (ExprId root : {p.attempt, p.vacuous, p.pass, p.fail}) check_root(root);
+  }
+  reset();
+}
+
 void AutomatonEval::reset() {
   for (std::size_t i = 0; i < a_.states.size(); ++i) {
     vars_[a_.signals.size() + i] = a_.states[i].init;
@@ -221,21 +235,18 @@ void AutomatonEval::step(const std::vector<std::uint64_t>& samples,
     reset();
     return;
   }
+  // Every verdict and next value comes from this one pass over the
+  // pre-edge state, so the commit below is the netlist's simultaneous
+  // register latch.
+  nodes_.run(vars_);
   for (std::size_t i = 0; i < a_.props.size(); ++i) {
     const PropertyAutomaton& p = a_.props[i];
-    verdicts[i].attempt = synth::eval(a_.arena, p.attempt, vars_, {});
-    verdicts[i].vacuous = synth::eval(a_.arena, p.vacuous, vars_, {});
-    verdicts[i].pass = synth::eval(a_.arena, p.pass, vars_, {});
-    verdicts[i].fail = synth::eval(a_.arena, p.fail, vars_, {});
-  }
-  // Two-phase state commit: every next value is computed over the old
-  // state, exactly like the netlist's simultaneous register latch.
-  for (std::size_t i = 0; i < a_.states.size(); ++i) {
-    scratch_[i] = synth::eval(a_.arena, a_.states[i].next, vars_, {}) &
-                  ExprArena::mask(a_.states[i].width);
+    verdicts[i] = Verdict{nodes_[p.attempt], nodes_[p.pass], nodes_[p.fail],
+                          nodes_[p.vacuous]};
   }
   for (std::size_t i = 0; i < a_.states.size(); ++i) {
-    vars_[a_.signals.size() + i] = scratch_[i];
+    vars_[a_.signals.size() + i] =
+        nodes_[a_.states[i].next] & ExprArena::mask(a_.states[i].width);
   }
 }
 

@@ -13,15 +13,21 @@
 // several attempts in flight and may resolve many at once (e.g. `until`
 // released by q passes every pending attempt together).
 //
+// compile() and lower() keep the Spec's sharing: a subexpression the
+// Spec uses twice (Spec::red_xor's shift-fold uses each level twice) is
+// one automaton node and one netlist node, not an unfolded tree.
+//
 // Two independent evaluators consume the automaton:
-//   * AutomatonEval -- tree-walks the verdict and next-state expressions
-//     with synth::eval (behavioural engine);
+//   * AutomatonEval -- evaluates every automaton node once per edge, in
+//     arena (topological) order, with synth::ArenaEval, then reads the
+//     verdicts and next states by ExprId (behavioural engine);
 //   * lower() -- clones the same expressions into a synth::Netlist whose
 //     registers mirror the automaton states, evaluated by NetlistSim
-//     (tape or tree-walk).
+//     (bytecode tape, native JIT or tree-walk).
 // Both follow identical sample -> verdict -> state-commit ordering, so
 // verdicts are bit-identical by construction; the randomized lock-step
-// suite in tests/check/test_lowering.cpp enforces it.
+// suite in tests/check/test_lowering.cpp enforces it, with root-by-root
+// synth::eval as the reference oracle for both.
 //
 // Disable/reset: both engines take a per-edge `disabled` flag.  A
 // disabled edge yields all-zero verdicts and returns every state to its
@@ -81,15 +87,10 @@ Automaton compile(const Spec& spec);
 /// after settle(), before clock_edge().
 synth::Netlist lower(const Automaton& a);
 
-/// Behavioural engine: per-edge tree-walk evaluation.
+/// Behavioural engine: one pass over the automaton arena per edge.
 class AutomatonEval {
 public:
-  explicit AutomatonEval(const Automaton& a)
-      : a_(a),
-        vars_(a.signals.size() + a.states.size(), 0),
-        scratch_(a.states.size(), 0) {
-    reset();
-  }
+  explicit AutomatonEval(const Automaton& a);
 
   struct Verdict {
     std::uint64_t attempt = 0;
@@ -115,8 +116,8 @@ public:
 
 private:
   const Automaton& a_;
-  std::vector<std::uint64_t> vars_;     ///< signals then states
-  std::vector<std::uint64_t> scratch_;  ///< next-state staging
+  std::vector<std::uint64_t> vars_;  ///< signals then states
+  synth::ArenaEval nodes_;           ///< every node's value this edge
 };
 
 }  // namespace hlcs::check

@@ -2,7 +2,8 @@
 // every rising edge and keep CheckStats; they differ only in the engine
 // that turns samples into verdicts:
 //
-//   * check::Monitor         -- AutomatonEval (behavioural tree-walk)
+//   * check::Monitor         -- AutomatonEval (behavioural: one pass over
+//                               the automaton arena per edge)
 //   * check::NetlistMonitor  -- the lowered netlist in a NetlistSim
 //
 // Running one of each against the same design is the paper's Fig. 4
@@ -159,7 +160,7 @@ private:
 
 }  // namespace detail
 
-/// Behavioural monitor: the automaton evaluated by tree walk.
+/// Behavioural monitor: the automaton evaluated by AutomatonEval.
 class Monitor final : public detail::MonitorBase {
 public:
   Monitor(sim::Kernel& k, std::string name, const Spec& spec, sim::Clock& clk,

@@ -27,17 +27,20 @@ namespace hlcs::pattern {
 
 class RtlChannel : public sim::Module {
   struct ClientState {
+    /// The client's port nets, resolved once by make_port().
+    synth::NetId req_net, sel_net, args_net, grant_net, ret_net;
     bool req = false;
     std::uint64_t sel = 0;
     std::uint64_t args = 0;
     std::uint64_t ret = 0;
-    std::coroutine_handle<> waiter;
+    std::coroutine_handle<> waiter{};
     std::uint64_t waited_cycles = 0;
   };
 
 public:
   /// `netlist` must outlive the channel; it must have been synthesised
-  /// with at least as many clients as ports created.
+  /// with at least as many clients as ports created (make_port() throws
+  /// "no net named ..." otherwise).
   RtlChannel(sim::Kernel& k, std::string name, const synth::Netlist& netlist,
              sim::Clock& clk)
       : Module(k, std::move(name)), rtl_(netlist) {
@@ -88,8 +91,13 @@ public:
   };
 
   Port make_port() {
-    clients_.push_back(std::make_unique<ClientState>());
-    return Port(this, clients_.size() - 1);
+    const std::size_t c = clients_.size();
+    const synth::Netlist& nl = rtl_.netlist();
+    clients_.push_back(std::make_unique<ClientState>(ClientState{
+        nl.find(synth::req_port(c)), nl.find(synth::sel_port(c)),
+        nl.find(synth::args_port(c)), nl.find(synth::grant_port(c)),
+        nl.find(synth::ret_port(c))}));
+    return Port(this, c);
   }
 
   synth::NetlistSim& netlist_sim() { return rtl_; }
@@ -106,9 +114,9 @@ private:
     ++edges_;
     for (std::size_t c = 0; c < clients_.size(); ++c) {
       ClientState& cs = *clients_[c];
-      rtl_.set_input(synth::req_port(c), cs.req ? 1 : 0);
-      rtl_.set_input(synth::sel_port(c), cs.sel);
-      rtl_.set_input(synth::args_port(c), cs.args);
+      rtl_.set_input(cs.req_net, cs.req ? 1 : 0);
+      rtl_.set_input(cs.sel_net, cs.sel);
+      rtl_.set_input(cs.args_net, cs.args);
     }
     rtl_.settle();
     // Capture combinational grant/ret before latching -- the values a
@@ -119,8 +127,8 @@ private:
     for (std::size_t c = 0; c < clients_.size(); ++c) {
       ClientState& cs = *clients_[c];
       if (!cs.req) continue;
-      if (rtl_.get(synth::grant_port(c)) != 0) {
-        cs.ret = rtl_.get(synth::ret_port(c));
+      if (rtl_.get(cs.grant_net) != 0) {
+        cs.ret = rtl_.get(cs.ret_net);
         granted_.push_back(c);
       } else {
         cs.waited_cycles++;

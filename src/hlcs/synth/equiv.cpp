@@ -334,7 +334,11 @@ void merge_outcomes(EquivResult& result, const std::vector<LaneOutcome>& outs,
 
 EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
                               const EquivOptions& eopt) {
-  const Netlist nl = synthesize(desc, opt);
+  return check_equivalence(desc, opt, synthesize(desc, opt), eopt);
+}
+
+EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
+                              const Netlist& nl, const EquivOptions& eopt) {
   const Ports ports = resolve_ports(nl, desc, opt);
   const std::size_t lanes = eopt.lanes == 0 ? 1 : eopt.lanes;
 

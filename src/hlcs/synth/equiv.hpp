@@ -104,6 +104,12 @@ struct EquivResult {
   explicit operator bool() const { return equal; }
 };
 
+/// Lock-step comparison of `nl` against GoldenCycleModel(desc, opt).
+/// `nl` is the netlist under test: synthesize(desc, opt), or any netlist
+/// with its ports and state nets, such as optimize() of it.
+EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
+                              const Netlist& nl, const EquivOptions& eopt = {});
+
 /// Lock-step comparison of synthesize(desc, opt) against
 /// GoldenCycleModel(desc, opt).
 EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,

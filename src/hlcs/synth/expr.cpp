@@ -59,73 +59,113 @@ const char* op_name(ExprOp op) {
   return "?";
 }
 
+namespace {
+
+/// The one definition of every op's semantics: the value of node `n`,
+/// given `leaf(n)` for its Var/Arg value and `operand(id)` for each
+/// operand's value.  Both evaluators instantiate it: eval() with a
+/// recursive walk, ArenaEval with reads of already computed nodes.
+template <class Leaf, class Operand>
+std::uint64_t apply(const ExprArena& arena, const ExprNode& n, Leaf&& leaf,
+                    Operand&& operand) {
+  const std::uint64_t m = ExprArena::mask(n.width);
+  switch (n.op) {
+    case ExprOp::Const:
+      return n.imm & m;
+    case ExprOp::Var:
+    case ExprOp::Arg:
+      return leaf(n) & m;
+    case ExprOp::Not:
+      return ~operand(n.a) & m;
+    case ExprOp::Neg:
+      return (~operand(n.a) + 1) & m;
+    case ExprOp::RedOr:
+      return operand(n.a) != 0;
+    case ExprOp::RedAnd:
+      return operand(n.a) == ExprArena::mask(arena.at(n.a).width);
+    case ExprOp::ZExt:
+      return operand(n.a) & m;
+    case ExprOp::Slice:
+      return (operand(n.a) >> n.imm) & m;
+    case ExprOp::Add:
+      return (operand(n.a) + operand(n.b)) & m;
+    case ExprOp::Sub:
+      return (operand(n.a) - operand(n.b)) & m;
+    case ExprOp::Mul:
+      return (operand(n.a) * operand(n.b)) & m;
+    case ExprOp::And:
+      return operand(n.a) & operand(n.b);
+    case ExprOp::Or:
+      return operand(n.a) | operand(n.b);
+    case ExprOp::Xor:
+      return operand(n.a) ^ operand(n.b);
+    case ExprOp::Eq:
+      return operand(n.a) == operand(n.b);
+    case ExprOp::Ne:
+      return operand(n.a) != operand(n.b);
+    case ExprOp::Lt:
+      return operand(n.a) < operand(n.b);
+    case ExprOp::Le:
+      return operand(n.a) <= operand(n.b);
+    case ExprOp::Gt:
+      return operand(n.a) > operand(n.b);
+    case ExprOp::Ge:
+      return operand(n.a) >= operand(n.b);
+    case ExprOp::Shl: {
+      const std::uint64_t s = operand(n.b);
+      return s >= 64 ? 0 : (operand(n.a) << s) & m;
+    }
+    case ExprOp::Shr: {
+      const std::uint64_t s = operand(n.b);
+      return s >= 64 ? 0 : (operand(n.a) >> s) & m;
+    }
+    case ExprOp::Concat:
+      return ((operand(n.a) << arena.at(n.b).width) | operand(n.b)) & m;
+    case ExprOp::Mux:
+      return operand(n.a) ? operand(n.b) : operand(n.c);
+  }
+  fail("eval: unknown op");
+}
+
+}  // namespace
+
 std::uint64_t eval(const ExprArena& arena, ExprId root,
                    const std::vector<std::uint64_t>& vars,
                    const std::vector<std::uint64_t>& args) {
-  std::function<std::uint64_t(ExprId)> go = [&](ExprId id) -> std::uint64_t {
-    const ExprNode& n = arena.at(id);
-    const std::uint64_t m = ExprArena::mask(n.width);
-    switch (n.op) {
-      case ExprOp::Const:
-        return n.imm & m;
-      case ExprOp::Var:
-        HLCS_ASSERT(n.imm < vars.size(), "eval: var index out of range");
-        return vars[n.imm] & m;
-      case ExprOp::Arg:
-        HLCS_ASSERT(n.imm < args.size(), "eval: arg index out of range");
-        return args[n.imm] & m;
-      case ExprOp::Not:
-        return ~go(n.a) & m;
-      case ExprOp::Neg:
-        return (~go(n.a) + 1) & m;
-      case ExprOp::RedOr:
-        return go(n.a) != 0;
-      case ExprOp::RedAnd:
-        return go(n.a) == ExprArena::mask(arena.at(n.a).width);
-      case ExprOp::ZExt:
-        return go(n.a) & m;
-      case ExprOp::Slice:
-        return (go(n.a) >> n.imm) & m;
-      case ExprOp::Add:
-        return (go(n.a) + go(n.b)) & m;
-      case ExprOp::Sub:
-        return (go(n.a) - go(n.b)) & m;
-      case ExprOp::Mul:
-        return (go(n.a) * go(n.b)) & m;
-      case ExprOp::And:
-        return go(n.a) & go(n.b);
-      case ExprOp::Or:
-        return go(n.a) | go(n.b);
-      case ExprOp::Xor:
-        return go(n.a) ^ go(n.b);
-      case ExprOp::Eq:
-        return go(n.a) == go(n.b);
-      case ExprOp::Ne:
-        return go(n.a) != go(n.b);
-      case ExprOp::Lt:
-        return go(n.a) < go(n.b);
-      case ExprOp::Le:
-        return go(n.a) <= go(n.b);
-      case ExprOp::Gt:
-        return go(n.a) > go(n.b);
-      case ExprOp::Ge:
-        return go(n.a) >= go(n.b);
-      case ExprOp::Shl: {
-        const std::uint64_t s = go(n.b);
-        return s >= 64 ? 0 : (go(n.a) << s) & m;
-      }
-      case ExprOp::Shr: {
-        const std::uint64_t s = go(n.b);
-        return s >= 64 ? 0 : (go(n.a) >> s) & m;
-      }
-      case ExprOp::Concat:
-        return ((go(n.a) << arena.at(n.b).width) | go(n.b)) & m;
-      case ExprOp::Mux:
-        return go(n.a) ? go(n.b) : go(n.c);
+  auto leaf = [&](const ExprNode& n) -> std::uint64_t {
+    if (n.op == ExprOp::Var) {
+      HLCS_ASSERT(n.imm < vars.size(), "eval: var index out of range");
+      return vars[n.imm];
     }
-    fail("eval: unknown op");
+    HLCS_ASSERT(n.imm < args.size(), "eval: arg index out of range");
+    return args[n.imm];
+  };
+  std::function<std::uint64_t(ExprId)> go = [&](ExprId id) -> std::uint64_t {
+    return apply(arena, arena.at(id), leaf, go);
   };
   return go(root);
+}
+
+ArenaEval::ArenaEval(const ExprArena& arena, std::size_t vars)
+    : arena_(arena), vars_(vars), values_(arena.size(), 0) {
+  for (ExprId id = 0; id < arena.size(); ++id) {
+    const ExprNode& n = arena.at(id);
+    HLCS_ASSERT(n.op != ExprOp::Arg, "ArenaEval: Arg leaf in the arena");
+    HLCS_ASSERT(n.op != ExprOp::Var || n.imm < vars,
+                "ArenaEval: var index out of range");
+  }
+}
+
+void ArenaEval::run(const std::vector<std::uint64_t>& vars) {
+  HLCS_ASSERT(vars.size() >= vars_, "ArenaEval: too few var values");
+  HLCS_ASSERT(arena_.size() == values_.size(),
+              "ArenaEval: arena grew after construction");
+  std::uint64_t* const v = values_.data();
+  const auto leaf = [&](const ExprNode& n) { return vars[n.imm]; };
+  const auto operand = [v](ExprId id) { return v[id]; };
+  for (ExprId id = 0; id < values_.size(); ++id) {
+    v[id] = apply(arena_, arena_.at(id), leaf, operand);
+  }
 }
 
 unsigned depth(const ExprArena& arena, ExprId root) {
@@ -149,34 +189,44 @@ unsigned depth(const ExprArena& arena, ExprId root) {
   return go(root);
 }
 
-ExprId clone_expr(const ExprArena& src, ExprId id, ExprArena& dst,
+ExprId clone_expr(const ExprArena& src, ExprId root, ExprArena& dst,
                   const std::function<ExprId(std::uint32_t, unsigned)>& map_var,
                   const std::function<ExprId(std::uint32_t, unsigned)>& map_arg) {
-  const ExprNode& n = src.at(id);
-  switch (n.op) {
-    case ExprOp::Const:
-      return dst.cst(n.imm, n.width);
-    case ExprOp::Var:
-      return map_var(static_cast<std::uint32_t>(n.imm), n.width);
-    case ExprOp::Arg:
-      return map_arg(static_cast<std::uint32_t>(n.imm), n.width);
-    case ExprOp::ZExt:
-      return dst.zext(clone_expr(src, n.a, dst, map_var, map_arg), n.width);
-    case ExprOp::Slice:
-      return dst.slice(clone_expr(src, n.a, dst, map_var, map_arg),
-                       static_cast<unsigned>(n.imm), n.width);
-    case ExprOp::Mux:
-      return dst.mux(clone_expr(src, n.a, dst, map_var, map_arg),
-                     clone_expr(src, n.b, dst, map_var, map_arg),
-                     clone_expr(src, n.c, dst, map_var, map_arg));
-    default:
-      if (is_unary(n.op)) {
-        return dst.un(n.op, clone_expr(src, n.a, dst, map_var, map_arg));
-      }
-      return dst.bin(n.op, clone_expr(src, n.a, dst, map_var, map_arg),
-                     clone_expr(src, n.b, dst, map_var, map_arg));
-  }
-  fail("clone_expr: unknown op");
+  // Children precede parents, so the cone of `root` lies in [0, root].
+  HLCS_ASSERT(root < src.size(), "clone_expr: bad root ExprId");
+  std::vector<ExprId> memo(std::size_t{root} + 1, kNoExpr);
+  std::function<ExprId(ExprId)> go = [&](ExprId id) -> ExprId {
+    if (memo[id] != kNoExpr) return memo[id];
+    const ExprNode& n = src.at(id);
+    ExprId out = kNoExpr;
+    switch (n.op) {
+      case ExprOp::Const:
+        out = dst.cst(n.imm, n.width);
+        break;
+      case ExprOp::Var:
+        out = map_var(static_cast<std::uint32_t>(n.imm), n.width);
+        break;
+      case ExprOp::Arg:
+        out = map_arg(static_cast<std::uint32_t>(n.imm), n.width);
+        break;
+      case ExprOp::ZExt:
+        out = dst.zext(go(n.a), n.width);
+        break;
+      case ExprOp::Slice:
+        out = dst.slice(go(n.a), static_cast<unsigned>(n.imm), n.width);
+        break;
+      case ExprOp::Mux:
+        out = dst.mux(go(n.a), go(n.b), go(n.c));
+        break;
+      default:
+        out = is_unary(n.op) ? dst.un(n.op, go(n.a))
+                             : dst.bin(n.op, go(n.a), go(n.b));
+        break;
+    }
+    memo[id] = out;
+    return out;
+  };
+  return go(root);
 }
 
 std::string to_string(const ExprArena& arena, ExprId root) {

@@ -148,9 +148,33 @@ private:
 
 /// Evaluate an expression.  `vars` / `args` supply leaf values; widths of
 /// supplied values are trusted (the arena enforces widths structurally).
+/// A recursive walk: a node shared inside `root`'s cone is evaluated once
+/// per path to it, so use ArenaEval where roots share a DAG.
 std::uint64_t eval(const ExprArena& arena, ExprId root,
                    const std::vector<std::uint64_t>& vars,
                    const std::vector<std::uint64_t>& args);
+
+/// Evaluates every node of an arena once per run(), in index order --
+/// a topological order, so each operand is ready before its users and a
+/// subexpression shared by many roots costs one evaluation.  The per-op
+/// semantics are eval()'s.  Leaf indices are checked once, here: every
+/// Var must index below `vars`, and Arg leaves are rejected.  The arena
+/// must not grow afterwards.
+class ArenaEval {
+public:
+  ArenaEval(const ExprArena& arena, std::size_t vars);
+
+  /// Evaluate every node over `vars` (at least the constructor's count).
+  void run(const std::vector<std::uint64_t>& vars);
+
+  /// Value of node `id` as of the last run().
+  std::uint64_t operator[](ExprId id) const { return values_[id]; }
+
+private:
+  const ExprArena& arena_;
+  std::size_t vars_;
+  std::vector<std::uint64_t> values_;
+};
 
 /// Longest path (levels of logic) of an expression; leaves are depth 0.
 unsigned depth(const ExprArena& arena, ExprId root);
@@ -158,11 +182,14 @@ unsigned depth(const ExprArena& arena, ExprId root);
 /// Human-readable rendering (for diagnostics and tests).
 std::string to_string(const ExprArena& arena, ExprId root);
 
-/// Clone an expression tree from one arena into another, rewriting Var
-/// and Arg leaves through the supplied mappers.  Used by the synthesiser
-/// (Vars -> nets, Args -> port slices) and by the polymorphism transform
-/// (Vars -> per-implementation variables).
-ExprId clone_expr(const ExprArena& src, ExprId id, ExprArena& dst,
+/// Clone an expression from one arena into another, rewriting Var and
+/// Arg leaves through the supplied mappers.  Each source node is cloned
+/// once per call, so a DAG clones to a DAG (and a mapper runs once per
+/// source leaf node); a tree clones to the same tree.  Used by the
+/// synthesiser (Vars -> nets, Args -> port slices), the polymorphism
+/// transform (Vars -> per-implementation variables) and the property
+/// compiler (check::compile / check::lower).
+ExprId clone_expr(const ExprArena& src, ExprId root, ExprArena& dst,
                   const std::function<ExprId(std::uint32_t, unsigned)>& map_var,
                   const std::function<ExprId(std::uint32_t, unsigned)>& map_arg);
 

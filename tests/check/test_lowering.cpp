@@ -1,8 +1,10 @@
 // RTL lowering consistency: randomized traces replayed through the
-// behavioural automaton (tree-walk over the property arena) and through
-// the lowered netlist in NetlistSim -- in every settle mode -- must give
-// bit-identical attempt/pass/fail/vacuous verdicts on every edge,
-// including random disable pulses that cancel in-flight attempts.
+// behavioural automaton (one node-order pass over the property arena per
+// edge) and through the lowered netlist in NetlistSim -- in every settle
+// mode -- must give bit-identical attempt/pass/fail/vacuous verdicts on
+// every edge, including random disable pulses that cancel in-flight
+// attempts.  Root-by-root synth::eval of every verdict and next state is
+// the reference oracle both engines are held to.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +13,7 @@
 #include "hlcs/check/check.hpp"
 #include "hlcs/sim/random.hpp"
 #include "hlcs/synth/batch_tape.hpp"
+#include "hlcs/synth/tape.hpp"
 #include "hlcs/synth/verilog.hpp"
 
 namespace hlcs::check {
@@ -33,6 +36,73 @@ Spec kitchen_sink() {
   s.prop("parity", a,
          s.red_xor(s.concat(v, w)) == (s.red_xor(v) ^ s.red_xor(w)));
   return s;
+}
+
+/// Reference oracle: each verdict and next state by its own recursive
+/// synth::eval over a private copy of the state, committed two-phase.
+struct RefEval {
+  const Automaton& a;
+  std::vector<std::uint64_t> vars;  ///< signals then states
+
+  explicit RefEval(const Automaton& au)
+      : a(au), vars(au.signals.size() + au.states.size(), 0) {
+    reset();
+  }
+  void reset() {
+    for (std::size_t i = 0; i < a.states.size(); ++i) {
+      vars[a.signals.size() + i] = a.states[i].init;
+    }
+  }
+  std::uint64_t eval(ExprId root) const {
+    return synth::eval(a.arena, root, vars, {});
+  }
+  void step(const std::vector<std::uint64_t>& samples, bool disabled,
+            std::vector<AutomatonEval::Verdict>& v) {
+    v.assign(a.props.size(), AutomatonEval::Verdict{});
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      vars[i] = samples[i] & synth::ExprArena::mask(a.signals[i].width);
+    }
+    if (disabled) {
+      reset();
+      return;
+    }
+    for (std::size_t i = 0; i < a.props.size(); ++i) {
+      const PropertyAutomaton& p = a.props[i];
+      v[i] = AutomatonEval::Verdict{eval(p.attempt), eval(p.pass),
+                                    eval(p.fail), eval(p.vacuous)};
+    }
+    std::vector<std::uint64_t> next(a.states.size());
+    for (std::size_t i = 0; i < a.states.size(); ++i) {
+      next[i] = eval(a.states[i].next) &
+                synth::ExprArena::mask(a.states[i].width);
+    }
+    for (std::size_t i = 0; i < a.states.size(); ++i) {
+      vars[a.signals.size() + i] = next[i];
+    }
+  }
+  std::uint64_t state(std::size_t i) const {
+    return vars[a.signals.size() + i];
+  }
+};
+
+/// Where the behavioural engine departs from the oracle on this edge
+/// (a verdict field or a committed state), or "" when it agrees.
+std::string oracle_diff(const Automaton& a, const AutomatonEval& ev,
+                        const std::vector<AutomatonEval::Verdict>& vb,
+                        const RefEval& ref,
+                        const std::vector<AutomatonEval::Verdict>& vr) {
+  if (vb.size() != vr.size()) return "verdict count";
+  for (std::size_t i = 0; i < vb.size(); ++i) {
+    const std::string& p = a.props[i].name;
+    if (vb[i].attempt != vr[i].attempt) return p + " attempt";
+    if (vb[i].pass != vr[i].pass) return p + " pass";
+    if (vb[i].fail != vr[i].fail) return p + " fail";
+    if (vb[i].vacuous != vr[i].vacuous) return p + " vacuous";
+  }
+  for (std::size_t i = 0; i < a.states.size(); ++i) {
+    if (ev.state(i) != ref.state(i)) return "state " + a.states[i].name;
+  }
+  return "";
 }
 
 /// Drive the lowered netlist the way NetlistMonitor does: inputs + rst,
@@ -79,10 +149,11 @@ struct NlDriver {
 void run_lockstep(const Automaton& a, synth::SettleMode mode,
                   std::uint64_t seed, int edges) {
   AutomatonEval ev(a);
+  RefEval ref(a);
   NlDriver nld(a, mode);
   sim::Xorshift rng(seed);
   std::vector<std::uint64_t> samples(a.signals.size());
-  std::vector<AutomatonEval::Verdict> vb, vn;
+  std::vector<AutomatonEval::Verdict> vb, vn, vr;
   std::uint64_t resolved = 0;
   for (int t = 0; t < edges; ++t) {
     samples[0] = rng.chance(1, 2);                  // a
@@ -93,7 +164,10 @@ void run_lockstep(const Automaton& a, synth::SettleMode mode,
     samples[3] = rng.chance(1, 4) ? (rng.next() & 0xFF) : rng.below(4);
     const bool disabled = rng.chance(1, 16);
     ev.step(samples, disabled, vb);
+    ref.step(samples, disabled, vr);
     nld.step(samples, disabled, vn);
+    ASSERT_EQ(oracle_diff(a, ev, vb, ref, vr), "")
+        << "seed " << seed << " edge " << t;
     ASSERT_EQ(vb.size(), vn.size());
     for (std::size_t i = 0; i < vb.size(); ++i) {
       ASSERT_EQ(vb[i].attempt, vn[i].attempt)
@@ -161,16 +235,19 @@ TEST(CheckLowering, BatchedLockstep64Lanes) {
   }
 
   std::vector<AutomatonEval> evs;
+  std::vector<RefEval> refs;
   std::vector<sim::Xorshift> rngs;
   evs.reserve(kLanes);
+  refs.reserve(kLanes);
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     evs.emplace_back(a);
+    refs.emplace_back(a);
     rngs.emplace_back(sim::lane_seed(0xC4EC, lane));
   }
   std::vector<std::vector<std::uint64_t>> samples(
       kLanes, std::vector<std::uint64_t>(a.signals.size()));
   std::vector<std::uint8_t> disabled(kLanes);
-  std::vector<AutomatonEval::Verdict> vb;
+  std::vector<AutomatonEval::Verdict> vb, vr;
   std::uint64_t resolved = 0;
 
   for (int t = 0; t < 300; ++t) {
@@ -189,6 +266,9 @@ TEST(CheckLowering, BatchedLockstep64Lanes) {
     sim.settle();
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       evs[lane].step(samples[lane], disabled[lane] != 0, vb);
+      refs[lane].step(samples[lane], disabled[lane] != 0, vr);
+      ASSERT_EQ(oracle_diff(a, evs[lane], vb, refs[lane], vr), "")
+          << "lane " << lane << " edge " << t;
       for (std::size_t i = 0; i < outs.size(); ++i) {
         ASSERT_EQ(vb[i].attempt, sim.get(outs[i].attempt, lane))
             << "lane " << lane << " edge " << t << " " << a.props[i].name;
@@ -210,23 +290,45 @@ TEST(CheckLowering, PciPackLockstep) {
   const Automaton a = compile(
       pci_rules(PciRuleOptions{.arbitration = true, .latency_bound = 6}));
   AutomatonEval ev(a);
+  RefEval ref(a);
   NlDriver nld(a, synth::SettleMode::Incremental);
   sim::Xorshift rng(42);
   std::vector<std::uint64_t> samples(a.signals.size());
-  std::vector<AutomatonEval::Verdict> vb, vn;
+  std::vector<AutomatonEval::Verdict> vb, vn, vr;
+  std::uint64_t parity_checks = 0;
   for (int t = 0; t < 2000; ++t) {
     for (std::size_t i = 0; i < a.signals.size(); ++i) {
       samples[i] = rng.next() & synth::ExprArena::mask(a.signals[i].width);
     }
     ev.step(samples, false, vb);
+    ref.step(samples, false, vr);
     nld.step(samples, false, vn);
+    ASSERT_EQ(oracle_diff(a, ev, vb, ref, vr), "") << "edge " << t;
     for (std::size_t i = 0; i < vb.size(); ++i) {
+      ASSERT_EQ(vb[i].attempt, vn[i].attempt) << "edge " << t << " "
+                                              << a.props[i].name;
       ASSERT_EQ(vb[i].pass, vn[i].pass) << "edge " << t << " "
                                         << a.props[i].name;
       ASSERT_EQ(vb[i].fail, vn[i].fail) << "edge " << t << " "
                                         << a.props[i].name;
+      ASSERT_EQ(vb[i].vacuous, vn[i].vacuous) << "edge " << t << " "
+                                              << a.props[i].name;
+      if (a.props[i].name == "m5_parity") parity_checks += vb[i].attempt;
     }
   }
+  // Random samples must reach the shared red_xor fold, not only
+  // vacuous edges.
+  EXPECT_GT(parity_checks, 100u);
+}
+
+TEST(CheckLowering, PciPackKeepsTheSpecDag) {
+  // Spec::red_xor's shift-fold reads each of its 6 levels twice; an
+  // unfolded tree made this 529 automaton nodes and 1014 tape
+  // instructions.  compile() and lower() keep the sharing instead.
+  const Automaton a = compile(pci_rules(PciRuleOptions{.arbitration = true}));
+  EXPECT_LT(a.arena.size(), 150u);
+  const synth::TapeProgram tape = synth::TapeProgram::compile(lower(a));
+  EXPECT_LT(tape.code().size(), 400u);
 }
 
 TEST(CheckLowering, LoweredNetlistShape) {

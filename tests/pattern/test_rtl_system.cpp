@@ -106,6 +106,38 @@ TEST(RtlChannel, DoubleCallOnSamePortThrows) {
   EXPECT_THROW(k.run_for(1_us), hlcs::Error);
 }
 
+TEST(RtlChannel, MorePortsThanSynthesisedClientsThrowsAtMakePort) {
+  // Port nets are resolved when the port is made, so a netlist
+  // synthesised for one client rejects the second port there, not on
+  // the first clock edge.
+  Kernel k;
+  sim::Clock clk(k, "clk", 10_ns);
+  SynthesisableChannel ch = make_synthesisable_channel();
+  synth::SynthOptions one_client;
+  one_client.clients = 1;
+  synth::Netlist nl = synth::synthesize(ch.desc, one_client);
+  RtlChannel chan(k, "chan", nl, clk);
+  auto first = chan.make_port();
+  EXPECT_TRUE(first.connected());
+  try {
+    chan.make_port();
+    FAIL() << "make_port() accepted a port the netlist has no pins for";
+  } catch (const hlcs::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no net named c1_"),
+              std::string::npos)
+        << e.what();
+  }
+  // The rejected port left the channel usable for the one it has.
+  bool granted = false;
+  k.spawn("caller", [&]() -> Task {
+    co_await first.call(ch.methods.put_command, 0x6ull);
+    granted = true;
+  });
+  k.run_for(1_us);
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(chan.grants(), 1u);
+}
+
 struct RtlSystemBench {
   Kernel k;
   sim::Clock clk{k, "clk", 10_ns};

@@ -1,12 +1,58 @@
 // The equivalence-check service and Verilog testbench emission.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "hlcs/sim/random.hpp"
 #include "hlcs/synth/equiv.hpp"
+#include "hlcs/synth/optimize.hpp"
+#include "hlcs/synth/parser.hpp"
 #include "hlcs/synth/poly.hpp"
 #include "objects.hpp"
 
 namespace hlcs::synth {
 namespace {
+
+/// A shipped CLI object, flattened to a polymorphic object when the file
+/// holds several implementations (as hlcs_synth does).
+ObjectDesc shipped_object(const std::string& file) {
+  std::ifstream in(std::string(HLCS_OBJS_DIR) + "/" + file);
+  if (!in) fail("cannot open shipped object " + file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::vector<ObjectDesc> parsed = parse_objects(ss.str());
+  if (parsed.size() == 1) return std::move(parsed[0]);
+  std::vector<const ObjectDesc*> impls;
+  for (const ObjectDesc& o : parsed) impls.push_back(&o);
+  return make_polymorphic(parsed[0].name() + "_poly", impls, 0);
+}
+
+/// A copy of `nl` whose comb driving net `target` is complemented.
+Netlist with_inverted_comb(const Netlist& nl, const std::string& target) {
+  Netlist out(nl.name());
+  for (const Net& n : nl.nets()) out.add_net(n.name, n.width);
+  for (NetId n : nl.inputs()) out.mark_input(n);
+  for (NetId n : nl.outputs()) out.mark_output(n);
+  const NetId victim = nl.find(target);
+  bool mutated = false;
+  for (const CombAssign& c : nl.combs()) {
+    ExprId v = clone_expr(
+        nl.arena(), c.value, out.arena(),
+        [&](std::uint32_t net, unsigned) { return out.net_ref(net); },
+        [](std::uint32_t, unsigned) -> ExprId { fail("Arg in a netlist"); });
+    if (c.target == victim) {
+      v = out.arena().un(ExprOp::Not, v);
+      mutated = true;
+    }
+    out.add_comb(c.target, v);
+  }
+  for (const RegDesc& r : nl.regs()) out.add_reg(r.q, r.d, r.init);
+  if (!mutated) fail("no comb drives " + target);
+  return out;
+}
 
 TEST(Equivalence, AllTestObjectsPass) {
   for (int which = 0; which < 4; ++which) {
@@ -100,6 +146,50 @@ TEST(Equivalence, VectorsRecordGrantsAndState) {
     if (v.grant[0]) ++grant_count;
   }
   EXPECT_EQ(grant_count, r.grants);
+}
+
+TEST(Equivalence, OptimizedShippedObjectsPass) {
+  // The netlist under test is the one hlcs_synth --optimize emits, not a
+  // fresh synthesize() of the same description.
+  for (const char* file : {"mailbox.obj", "semaphore.obj", "counters.obj"}) {
+    const ObjectDesc d = shipped_object(file);
+    for (osss::PolicyKind policy :
+         {osss::PolicyKind::RoundRobin, osss::PolicyKind::Adaptive}) {
+      SynthOptions opt;
+      opt.clients = 3;
+      opt.policy = policy;
+      OptimizeStats ost;
+      const Netlist nl = optimize(synthesize(d, opt), &ost);
+      EXPECT_LT(ost.nodes_after, ost.nodes_before) << file;
+      const EquivResult r = check_equivalence(
+          d, opt, nl,
+          EquivOptions{.cycles = 300, .seed = 0x0971, .reset_percent = 3,
+                       .lanes = 4});
+      EXPECT_TRUE(r) << file << "/" << osss::policy_name(policy) << ": "
+                     << r.first_mismatch;
+      EXPECT_GT(r.grants, 100u) << file;
+    }
+  }
+}
+
+TEST(Equivalence, MutatedCombFailsNamingLaneAndSeed) {
+  const ObjectDesc d = testobj::mailbox();
+  SynthOptions opt;
+  opt.clients = 2;
+  const Netlist good = synthesize(d, opt);
+  const EquivOptions eopt{.cycles = 200, .seed = 0x5EED, .lanes = 3};
+  ASSERT_TRUE(check_equivalence(d, opt, good, eopt));
+
+  const Netlist bad = with_inverted_comb(good, grant_port(1));
+  const EquivResult r = check_equivalence(d, opt, bad, eopt);
+  ASSERT_FALSE(r.equal);
+  EXPECT_EQ(r.first_bad_lane, 0u);
+  EXPECT_EQ(r.first_bad_seed, sim::lane_seed(eopt.seed, 0));
+  std::ostringstream prefix;
+  prefix << "lane 0 (seed 0x" << std::hex << r.first_bad_seed << "): ";
+  EXPECT_EQ(r.first_mismatch.rfind(prefix.str(), 0), 0u) << r.first_mismatch;
+  EXPECT_NE(r.first_mismatch.find("grant"), std::string::npos)
+      << r.first_mismatch;
 }
 
 TEST(VerilogTestbench, EmitsSelfCheckingBench) {

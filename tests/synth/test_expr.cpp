@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "hlcs/sim/random.hpp"
+
 namespace hlcs::synth {
 namespace {
 
@@ -173,6 +177,92 @@ TEST(ExprEval, BadLeafIndexThrows) {
   EXPECT_THROW(eval(a, v, {1, 2}, {}), hlcs::Error);
   ExprId g = a.arg(2, 8);
   EXPECT_THROW(eval(a, g, {}, {1}), hlcs::Error);
+}
+
+/// A shift-fold in the shape of check::Spec::red_xor, `depth` levels
+/// deep over two 64-bit vars: every level reads the one below twice, so
+/// the DAG has 3 * depth + 3 nodes and its unfolded tree ~3 * 2^depth.
+ExprId shift_fold(ExprArena& a, unsigned depth) {
+  ExprId z = a.bin(ExprOp::Xor, a.var(0, 64), a.var(1, 64));
+  for (unsigned level = 0; level < depth; ++level) {
+    z = a.bin(ExprOp::Xor, z,
+              a.bin(ExprOp::Shr, z, a.cst(level % 7 + 1, 64)));
+  }
+  return z;
+}
+
+TEST(ExprClone, DagClonesToDag) {
+  ExprArena src;
+  const ExprId root = shift_fold(src, 12);
+  ExprArena dst;
+  dst.cst(0, 1);  // the clone lands after existing nodes
+  int var_maps = 0;
+  const ExprId croot = clone_expr(
+      src, root, dst,
+      [&](std::uint32_t idx, unsigned w) {
+        ++var_maps;
+        return dst.var(idx + 2, w);  // renumbered leaves
+      },
+      [](std::uint32_t, unsigned) -> ExprId { fail("no args here"); });
+  EXPECT_LE(dst.size() - 1, src.size()) << "the clone unfolded the DAG";
+  EXPECT_EQ(var_maps, 2) << "one mapper call per source leaf node";
+
+  sim::Xorshift rng(0xDA6);
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t x = rng.next();
+    const std::uint64_t y = rng.next();
+    EXPECT_EQ(eval(dst, croot, {0, 0, x, y}, {}), eval(src, root, {x, y}, {}));
+  }
+}
+
+TEST(ExprClone, TreeClonesNodeForNode) {
+  // Two leaves with the same var index are distinct tree nodes and stay
+  // distinct: cloning shares by node, not by value.
+  ExprArena src;
+  const ExprId root = src.bin(ExprOp::Add, src.var(0, 8),
+                              src.un(ExprOp::Not, src.var(0, 8)));
+  ExprArena dst;
+  int var_maps = 0;
+  const ExprId croot = clone_expr(
+      src, root, dst,
+      [&](std::uint32_t idx, unsigned w) {
+        ++var_maps;
+        return dst.var(idx, w);
+      },
+      [](std::uint32_t, unsigned) -> ExprId { fail("no args here"); });
+  EXPECT_EQ(dst.size(), src.size());
+  EXPECT_EQ(var_maps, 2);
+  EXPECT_EQ(to_string(dst, croot), to_string(src, root));
+}
+
+TEST(ArenaEval, EveryNodeMatchesRecursiveEval) {
+  ExprArena a;
+  const ExprId fold = shift_fold(a, 8);
+  const ExprId v8 = a.slice(fold, 3, 8);
+  a.mux(a.slice(fold, 0, 1), v8, a.un(ExprOp::Neg, v8));
+  a.bin(ExprOp::Concat, a.un(ExprOp::RedAnd, v8), a.zext(v8, 12));
+  a.bin(ExprOp::Shl, fold, a.slice(a.var(1, 64), 0, 7));
+  a.bin(ExprOp::Le, a.var(2, 8), v8);
+  ArenaEval all(a, 3);
+  sim::Xorshift rng(0xA4E);
+  for (int i = 0; i < 40; ++i) {
+    const std::vector<std::uint64_t> vars{rng.next(), rng.next(),
+                                          rng.next() & 0xFF};
+    all.run(vars);
+    for (ExprId id = 0; id < a.size(); ++id) {
+      ASSERT_EQ(all[id], eval(a, id, vars, {})) << to_string(a, id);
+    }
+  }
+}
+
+TEST(ArenaEval, LeavesAreCheckedAtConstruction) {
+  ExprArena a;
+  a.var(3, 8);
+  EXPECT_THROW(ArenaEval(a, 3), hlcs::Error);
+  EXPECT_NO_THROW(ArenaEval(a, 4));
+  ExprArena b;
+  b.arg(0, 8);
+  EXPECT_THROW(ArenaEval(b, 4), hlcs::Error);
 }
 
 }  // namespace

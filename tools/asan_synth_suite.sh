@@ -20,7 +20,8 @@ test_trace_roundtrip \
 test_check_property test_check_lowering \
 test_osss_arbitration test_contend \
 test_sim_shard test_fabric \
-test_tlm test_tlm_lt"
+test_tlm test_tlm_lt \
+test_pattern_rtl_system"
 
 cd "$SRC"
 cmake --preset asan >/dev/null

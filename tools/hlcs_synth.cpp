@@ -36,7 +36,8 @@ int usage(const char* argv0) {
                "  --policy P         fifo | round_robin | static_priority | "
                "random (default static_priority)\n"
                "  --optimize         run constant folding / simplification\n"
-               "  --check N          lock-step equivalence check for N cycles "
+               "  --check N          lock-step equivalence check of the "
+               "emitted (optimised, with --optimize) netlist for N cycles "
                "(default 1000; 0 = skip)\n"
                "  --seed S           stimulus seed for --check\n"
                "  --equiv-batch [L]  run the check as L independently seeded "
@@ -440,7 +441,7 @@ int main(int argc, char** argv) {
     EquivResult equiv;
     if (check_cycles > 0) {
       equiv = check_equivalence(
-          desc, opt,
+          desc, opt, nl,
           EquivOptions{.cycles = check_cycles, .seed = seed,
                        .lanes = equiv_lanes, .batch = equiv_batch,
                        .threads = equiv_threads, .superlanes = equiv_super,
