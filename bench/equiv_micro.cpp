@@ -6,33 +6,35 @@
 //
 //   BM_BatchEdge   engine-level: random stimulus lanes stepped through
 //                  full clock edges, as 64 independent scalar
-//                  NetlistSims (mode 0 = FullTape, mode 1 =
-//                  Incremental) or one BatchNetlistSim (mode 2 = K=1 /
-//                  64 lanes, mode 3 = K=4 / 256 lanes, mode 4 = K=8 /
-//                  512 lanes; the superlane rows carry K x 64 lanes per
-//                  tape instruction).  policy 0 (static_priority) is
-//                  the comb-dominated case -- arbitration, guards and
-//                  muxes are all bitwise, so the whole design runs on
-//                  bit-planes; policy 1 (round_robin) carries Add combs
-//                  from the rotating-pointer arbiter, so its rows price
-//                  the per-lane scalar fallback honestly.  lane_edges/s
-//                  is the headline number; the batch rows also report
+//                  NetlistSims (mode 1) or one BatchNetlistSim (mode 2 =
+//                  K=1 / 64 lanes, mode 3 = K=4 / 256 lanes, mode 4 =
+//                  K=8 / 512 lanes; the superlane rows carry K x 64
+//                  lanes per tape instruction).  policy 0
+//                  (static_priority) is the comb-dominated case --
+//                  arbitration, guards and muxes are all bitwise, so the
+//                  whole design runs on bit-planes; policy 1
+//                  (round_robin) carries Add combs from the
+//                  rotating-pointer arbiter, so its rows price the
+//                  per-lane scalar fallback honestly.  lane_edges/s is
+//                  the headline number; the batch rows also report
 //                  scalar_frac (fraction of comb evaluations that fell
 //                  back to the per-lane scalar tape) and the fused /
 //                  scalar-fallback instruction counters.
-//   BM_EquivCheck  end-to-end: check_equivalence with independently
-//                  seeded lock-step lanes, scalar backend (mode 0, 64
-//                  lanes) vs batch backend (mode 1, 64 lanes at K=1;
-//                  mode 2, 512 lanes at K=8).  Includes synthesis +
-//                  golden-model cost on both sides, so the ratio is
-//                  what a fig.4 gate or a fuzz CI budget actually sees.
+//   BM_EquivCheck  end-to-end: check_equivalence over `lanes`
+//                  independently seeded lock-step lanes, on the engine
+//                  the lane count picks (scalar below 64 lanes, the
+//                  batch engine from 64).  Includes synthesis +
+//                  golden-model cost, so the rate is what a fig.4 gate
+//                  or a fuzz CI budget actually sees.
 //
-// Modes 5/6/7 of the edge benchmarks (and 3/4 of BM_EquivCheck) run
-// the same superlane widths through the native tape JIT
-// (hlcs/synth/jit.hpp).  The JIT-backed sim is constructed OUTSIDE the
-// timed loop, so compilation never pollutes the steady-state medians;
-// compile time is priced separately by BM_JitCompile and echoed on
-// every JIT row as the jit_compile_ns / jit_code_bytes counters.
+// Mode 5 of the edge benchmarks runs the 64-lane rows through the
+// native batch JIT (hlcs/synth/jit.hpp).  The JIT-backed sim is
+// constructed OUTSIDE the timed loop, so compilation never pollutes the
+// steady-state medians; compile time is priced separately by
+// BM_JitCompile and echoed on every JIT row as the jit_compile_ns /
+// jit_code_bytes counters.  Mode numbers are the row names of the
+// committed baselines (BENCH_equiv.json, BENCH_jit.json), so they keep
+// the gaps of removed engines.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -74,18 +76,18 @@ Netlist make_channel(std::size_t clients, hlcs::osss::PolicyKind policy) {
 }
 
 /// Superlane factor for a benchmark mode argument: modes 2/3/4 are the
-/// batch interpreter at K = 1/4/8 (64/256/512 lanes), modes 5/6/7 the
-/// batch JIT at the same widths; modes 0/1 are scalar.
+/// batch interpreter at K = 1/4/8 (64/256/512 lanes), mode 5 the batch
+/// JIT at K = 1; mode 1 is scalar.
 unsigned mode_super(long mode) {
   switch (mode) {
     case 2: case 5: return 1u;
-    case 3: case 6: return 4u;
-    case 4: case 7: return 8u;
+    case 3: return 4u;
+    case 4: return 8u;
     default: return 0u;
   }
 }
 
-bool mode_jit(long mode) { return mode >= 5; }
+bool mode_jit(long mode) { return mode == 5; }
 
 void report_batch_counters(benchmark::State& state,
                            const BatchNetlistSim& sim) {
@@ -105,18 +107,15 @@ void report_batch_counters(benchmark::State& state,
 }
 
 /// Dense random stimulus lanes through full clock edges.
-/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2/3/4 = batch
-/// interpreter at K=1/4/8 (64/256/512 lanes), 5/6/7 = batch JIT at the
-/// same widths.  range(1) = clients.  range(2): 0 = static_priority,
-/// 1 = round_robin.  One iteration = lanes lane-edges on every side.
+/// range(0): 1 = scalar NetlistSim, 2/3/4 = batch interpreter at
+/// K=1/4/8 (64/256/512 lanes), 5 = batch JIT at K=1.  range(1) =
+/// clients.  range(2): 0 = static_priority, 1 = round_robin.  One
+/// iteration = lanes lane-edges on every side.
 void BM_BatchEdge(benchmark::State& state) {
   const unsigned super = mode_super(state.range(0));
   const bool batch = super != 0;
   const std::size_t lanes =
       BatchNetlistSim::kLanes * (batch ? super : 1);
-  const SettleMode scalar_mode = state.range(0) == 0
-                                     ? SettleMode::FullTape
-                                     : SettleMode::Incremental;
   const std::size_t clients = static_cast<std::size_t>(state.range(1));
   const auto policy = state.range(2) == 0
                           ? hlcs::osss::PolicyKind::StaticPriority
@@ -152,7 +151,7 @@ void BM_BatchEdge(benchmark::State& state) {
   } else {
     std::vector<std::unique_ptr<NetlistSim>> sims;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      sims.push_back(std::make_unique<NetlistSim>(nl, scalar_mode));
+      sims.push_back(std::make_unique<NetlistSim>(nl));
     }
     for (auto _ : state) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -174,21 +173,16 @@ void BM_BatchEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchEdge)
     ->ArgNames({"mode", "clients", "policy"})
-    ->Args({0, 4, 0})
     ->Args({1, 4, 0})
     ->Args({2, 4, 0})
     ->Args({3, 4, 0})
     ->Args({4, 4, 0})
     ->Args({5, 4, 0})
-    ->Args({6, 4, 0})
-    ->Args({7, 4, 0})
-    ->Args({0, 4, 1})
     ->Args({1, 4, 1})
     ->Args({2, 4, 1})
     ->Args({3, 4, 1})
     ->Args({4, 4, 1})
-    ->Args({5, 4, 1})
-    ->Args({7, 4, 1});
+    ->Args({5, 4, 1});
 
 /// A lowered property-monitor automaton: the temporal operators expand
 /// to 1-bit state machines, so nearly every net is one plane wide and
@@ -211,16 +205,12 @@ hlcs::check::Spec monitor_spec() {
 }
 
 /// Random stimulus lanes through a lowered monitor netlist.
-/// range(0): 0 = scalar FullTape, 1 = scalar Incremental, 2/3/4 = batch
-/// interpreter at K=1/4/8 (64/256/512 lanes), 5/6/7 = batch JIT.
+/// range(0): the modes of BM_BatchEdge.
 void BM_BatchMonitorEdge(benchmark::State& state) {
   const unsigned super = mode_super(state.range(0));
   const bool batch = super != 0;
   const std::size_t lanes =
       BatchNetlistSim::kLanes * (batch ? super : 1);
-  const SettleMode scalar_mode = state.range(0) == 0
-                                     ? SettleMode::FullTape
-                                     : SettleMode::Incremental;
   const hlcs::check::Automaton a = hlcs::check::compile(monitor_spec());
   Netlist nl = hlcs::check::lower(a);
   std::vector<NetId> sigs;
@@ -251,7 +241,7 @@ void BM_BatchMonitorEdge(benchmark::State& state) {
   } else {
     std::vector<std::unique_ptr<NetlistSim>> sims;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      sims.push_back(std::make_unique<NetlistSim>(nl, scalar_mode));
+      sims.push_back(std::make_unique<NetlistSim>(nl));
       sims.back()->set_input(rst, 0);
     }
     for (auto _ : state) {
@@ -272,7 +262,7 @@ void BM_BatchMonitorEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchMonitorEdge)
     ->ArgName("mode")
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7);
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
 /// The evaluation engine alone, interleaved A/B: stimulus is driven
 /// once, then every iteration is one full clock edge (full-tape batch
@@ -280,8 +270,8 @@ BENCHMARK(BM_BatchMonitorEdge)
 /// state vector live).  BM_BatchEdge above prices a replay workload
 /// where per-lane stimulus scatter dominates; this row prices what the
 /// JIT actually replaces, so it is the honest interpreter-vs-native
-/// ratio.  range(0): 2/3/4 = batch interpreter at K=1/4/8, 5/6/7 =
-/// batch JIT at the same widths.
+/// ratio.  range(0): 2/3/4 = batch interpreter at K=1/4/8, 5 = batch
+/// JIT at K=1.
 void BM_JitEdge(benchmark::State& state) {
   const unsigned super = mode_super(state.range(0));
   Netlist nl = make_channel(4, hlcs::osss::PolicyKind::StaticPriority);
@@ -302,8 +292,7 @@ void BM_JitEdge(benchmark::State& state) {
   state.counters["lane_edges/s"] =
       benchmark::Counter(lane_edges, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_JitEdge)
-    ->ArgName("mode")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7);
+BENCHMARK(BM_JitEdge)->ArgName("mode")->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
 /// Same engine-only A/B over the lowered property-monitor automaton:
 /// nearly every net is one bit wide, so this is the densest plane
@@ -333,13 +322,13 @@ void BM_JitMonitorEdge(benchmark::State& state) {
       benchmark::Counter(lane_edges, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_JitMonitorEdge)
-    ->ArgName("mode")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7);
+    ->ArgName("mode")->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
 /// JIT compilation priced as its own metric: one iteration = compile
 /// the mailbox channel's tape to native code (scalar TapeJit at
-/// range(0) == 0, superlane BatchJit at K = range(0) otherwise) and
-/// throw it away.  This is the cost the edge benchmarks above pay once
-/// outside their timed loops.
+/// range(0) == 0, the 64-lane BatchJit at range(0) == 1) and throw it
+/// away.  This is the cost the edge benchmarks above pay once outside
+/// their timed loops.
 void BM_JitCompile(benchmark::State& state) {
   const unsigned super = static_cast<unsigned>(state.range(0));
   Netlist nl = make_channel(4, hlcs::osss::PolicyKind::StaticPriority);
@@ -368,20 +357,15 @@ void BM_JitCompile(benchmark::State& state) {
   state.counters["jit_code_bytes"] = code_bytes;
   state.counters["jit_native_combs"] = native;
 }
-BENCHMARK(BM_JitCompile)->ArgName("K")->Arg(0)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_JitCompile)->ArgName("K")->Arg(0)->Arg(1);
 
-/// End-to-end lock-step equivalence: independently seeded stimulus
-/// lanes against the golden interpreter.  range(0): 0 = scalar backend
-/// (64 lanes, one at a time), 1 = batch backend (64 lanes at K=1),
-/// 2 = batch backend (512 lanes at K=8, one superlane block); 3 and 4
-/// repeat modes 1 and 2 through the native JIT (which recompiles every
-/// invocation, like a fresh CI run would).
+/// End-to-end lock-step equivalence: range(0) independently seeded
+/// stimulus lanes against the golden interpreter, on the engine the
+/// lane count picks: the scalar engine at 8 lanes, the batch engine
+/// (recompiling its JIT every invocation, like a fresh CI run would) at
+/// 64 and 512.
 void BM_EquivCheck(benchmark::State& state) {
-  const bool batch = state.range(0) >= 1;
-  const bool jit = state.range(0) >= 3;
-  const unsigned super =
-      (state.range(0) == 2 || state.range(0) == 4) ? 8 : 1;
-  const std::size_t lanes = super == 8 ? 512 : 64;
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
   const ObjectDesc d = make_mailbox();
   SynthOptions opt;
   opt.clients = 4;
@@ -392,8 +376,7 @@ void BM_EquivCheck(benchmark::State& state) {
     const EquivResult r = check_equivalence(
         d, opt,
         EquivOptions{.cycles = kCycles, .seed = seed++, .reset_percent = 4,
-                     .lanes = lanes, .batch = batch, .superlanes = super,
-                     .jit = jit});
+                     .lanes = lanes});
     if (!r.equal) {
       state.SkipWithError("equivalence mismatch");
       return;
@@ -406,8 +389,7 @@ void BM_EquivCheck(benchmark::State& state) {
   state.counters["lane_cycles/s"] =
       benchmark::Counter(lane_cycles, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EquivCheck)
-    ->ArgName("mode")->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_EquivCheck)->ArgName("lanes")->Arg(8)->Arg(64)->Arg(512);
 
 }  // namespace
 

@@ -1,16 +1,12 @@
-// NETLIST: execution-engine microbenchmarks -- the A/B evidence for the
-// bytecode-tape settle engine.  Every benchmark is parameterised over
-// SettleMode so the legacy recursive interpreter (TreeWalk), the flat
-// full-tape evaluator (FullTape) and the event-driven engine
-// (Incremental) run interleaved in the same binary, same process, same
-// netlist: the only variable is the execution strategy.
+// NETLIST: microbenchmarks of the scalar netlist engine, NetlistSim:
+// the whole compiled tape per settle, as native code where the host
+// supports the JIT and on the tape interpreter otherwise (an
+// HLCS_JIT=OFF build measures the latter).
 //
 //   BM_NetlistEdge   dense stimulus -- every client port rewritten each
-//                    edge, so Incremental has no sparsity to exploit and
-//                    the comparison isolates tape-vs-tree dispatch cost.
-//   BM_SettleSparse  one 1-bit input toggles between settles; the
-//                    reeval_frac counter shows Incremental touching only
-//                    the dirty cone while the full modes re-run all combs.
+//                    edge, so every settle evaluates the whole tape.
+//   BM_SettleSparse  one 1-bit input toggles between settles: the case
+//                    a dirty-cone engine would do least work on.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -48,36 +44,23 @@ Netlist make_channel(std::size_t clients) {
   return synthesize(make_mailbox(), opt);
 }
 
-SettleMode mode_of(std::int64_t arg) {
-  switch (arg) {
-    case 0: return SettleMode::TreeWalk;
-    case 1: return SettleMode::FullTape;
-    default: return SettleMode::Incremental;
-  }
-}
-
 void report_stats(benchmark::State& state, const NetlistSim& sim) {
   const NetlistStats& st = sim.stats();
   if (st.edges > 0) {
     state.counters["combs/edge"] =
         static_cast<double>(st.combs_evaluated) / static_cast<double>(st.edges);
   }
-  if (st.combs_possible > 0) {
-    state.counters["reeval_frac"] = static_cast<double>(st.combs_evaluated) /
-                                    static_cast<double>(st.combs_possible);
-  }
-  state.counters["peak_worklist"] = static_cast<double>(st.peak_worklist);
   state.counters["tape_insns"] =
       static_cast<double>(sim.tape().code().size());
+  state.counters["native"] = sim.jit_stats() != nullptr ? 1 : 0;
 }
 
 /// Full clock edges under dense stimulus: every request/select/argument
-/// port is rewritten from the RNG each edge.  range(0) = mode,
-/// range(1) = clients.
+/// port is rewritten from the RNG each edge.  range(0) = clients.
 void BM_NetlistEdge(benchmark::State& state) {
-  const std::size_t clients = static_cast<std::size_t>(state.range(1));
+  const std::size_t clients = static_cast<std::size_t>(state.range(0));
   Netlist nl = make_channel(clients);
-  NetlistSim sim(nl, mode_of(state.range(0)));
+  NetlistSim sim(nl);
   std::vector<NetId> req, sel, args;
   for (std::size_t i = 0; i < clients; ++i) {
     req.push_back(nl.find(req_port(i)));
@@ -99,22 +82,14 @@ void BM_NetlistEdge(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   report_stats(state, sim);
 }
-BENCHMARK(BM_NetlistEdge)
-    ->ArgNames({"mode", "clients"})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({2, 4});
+BENCHMARK(BM_NetlistEdge)->ArgName("clients")->Arg(1)->Arg(4);
 
 /// Sparse settles: one client's 1-bit request toggles, everything else
-/// holds.  The incremental engine should re-evaluate only the request's
-/// fan-out cone (reeval_frac << 1); the full modes pay for every comb.
+/// holds, and every settle still evaluates the whole tape.
 void BM_SettleSparse(benchmark::State& state) {
   const std::size_t clients = 4;
   Netlist nl = make_channel(clients);
-  NetlistSim sim(nl, mode_of(state.range(0)));
+  NetlistSim sim(nl);
   const NetId toggled = nl.find(req_port(clients - 1));
   sim.clock_edge();  // out of reset, machine in steady state
   sim.reset_stats();
@@ -127,17 +102,9 @@ void BM_SettleSparse(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["settles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  const NetlistStats& st = sim.stats();
-  if (st.settles > 0 && !nl.combs().empty()) {
-    // Combs re-evaluated per settle, as a fraction of the full design.
-    state.counters["reeval_frac"] =
-        static_cast<double>(st.combs_evaluated) /
-        (static_cast<double>(st.settles) *
-         static_cast<double>(nl.combs().size()));
-  }
-  state.counters["peak_worklist"] = static_cast<double>(st.peak_worklist);
+  report_stats(state, sim);
 }
-BENCHMARK(BM_SettleSparse)->ArgName("mode")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SettleSparse);
 
 }  // namespace
 

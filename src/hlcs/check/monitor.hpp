@@ -185,12 +185,11 @@ class NetlistMonitor final : public detail::MonitorBase {
 public:
   NetlistMonitor(sim::Kernel& k, std::string name, const Spec& spec,
                  sim::Clock& clk, const ProbeSet& probes,
-                 synth::SettleMode mode = synth::SettleMode::Incremental,
                  MonitorOptions opt = {})
       : MonitorBase(k, std::move(name), compile(spec), clk, probes,
                     std::move(opt)),
         nl_(lower(a_)),
-        sim_(nl_, mode),
+        sim_(nl_),
         rst_(nl_.find("rst")) {
     for (const SignalDecl& s : a_.signals) sig_nets_.push_back(nl_.find(s.name));
     for (const PropertyAutomaton& p : a_.props) {

@@ -53,13 +53,19 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The root seed whose lane 0 is lane `lane` of `root`:
+/// lane_seed(lane_root(r, i), 0) == lane_seed(r, i).  A failure report
+/// that prints lane_root(seed, lane) is reproducible standalone -- feed
+/// it back as the root seed of a single-lane run.
+constexpr std::uint64_t lane_root(std::uint64_t root, std::uint64_t lane) {
+  return root + lane * 0x9E3779B97F4A7C15ull;
+}
+
 /// Per-lane seed derivation shared by every randomized consumer (equiv,
 /// fuzz suites, lock-step check tests): lane i of root seed S gets the
-/// i-th output of the SplitMix64 stream seeded at S.  A failure report
-/// that prints the lane seed is therefore reproducible standalone --
-/// feed it back as the root seed of a single-lane run.
+/// i-th output of the SplitMix64 stream seeded at S.
 constexpr std::uint64_t lane_seed(std::uint64_t root, std::uint64_t lane) {
-  return splitmix64(root + lane * 0x9E3779B97F4A7C15ull);
+  return splitmix64(lane_root(root, lane));
 }
 
 }  // namespace hlcs::sim

@@ -6,14 +6,6 @@
 #include "hlcs/sim/assert.hpp"
 #include "hlcs/sim/sweep.hpp"
 
-// Direct-threaded dispatch needs the computed-goto extension (GCC and
-// Clang both provide it); everything else takes the portable switch.
-#if defined(__GNUC__) || defined(__clang__)
-#define HLCS_BT_COMPUTED_GOTO 1
-#else
-#define HLCS_BT_COMPUTED_GOTO 0
-#endif
-
 namespace hlcs::synth {
 
 unsigned cpu_superlanes() {
@@ -87,7 +79,7 @@ constexpr std::uint64_t kZeroRow[BatchTape::kMaxSuper] = {};
 
 BatchTape::BatchTape(const Netlist& nl, unsigned super)
     : tape_(TapeProgram::compile(nl)),
-      super_(super == 0 ? cpu_superlanes() : super) {
+      super_(super) {
   if (super_ != 1 && super_ != 4 && super_ != 8) {
     fail("batch engine: superlane factor must be 1, 4 or 8 (got " +
          std::to_string(super_) + ")");
@@ -261,9 +253,8 @@ void BatchTape::run_combs(std::uint64_t* planes) {
 // depth owns a fixed 64-row region, so a result written at depth d never
 // aliases an operand at another depth and only strict in-place updates
 // (entry d already owning region d) need iteration-order care, noted per
-// op.  The inner `j < K` loops carry K as a compile-time constant: at
-// K=4/8 they are exactly one AVX2/AVX-512 vector op per row when the
-// build enables those ISAs, and short unrolled scalar code otherwise.
+// op.  The inner `j < K` loops carry K as a compile-time constant, so
+// they compile to short unrolled (or vectorized) code.
 template <unsigned K>
 void BatchTape::run_planes(const BComb& bc, NetId target,
                            std::uint64_t* planes) {
@@ -303,9 +294,9 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
     return Entry{r, 1};
   };
 
-#if HLCS_BT_COMPUTED_GOTO
-  // Direct threading: one indirect branch per handler tail instead of a
-  // single shared switch branch, so the predictor learns opcode *pairs*.
+  // Direct threading (the GNU computed-goto extension): one indirect
+  // branch per handler tail instead of a single shared switch branch, so
+  // the predictor learns opcode *pairs*.
   static const void* const kJump[kNumBOps] = {
       &&l_PushConst, &&l_PushNet, &&l_PushSlot, &&l_StoreSlot,
       &&l_Not,       &&l_Neg,     &&l_RedOr,    &&l_RedAnd,
@@ -323,12 +314,6 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   } while (0)
   if (ip == end) goto l_done;
   goto* kJump[static_cast<std::size_t>(ip->op)];
-#else
-#define HLCS_BT_OP(name) case BOp::name:
-#define HLCS_BT_NEXT() break
-  for (; ip != end; ++ip) {
-    switch (ip->op) {
-#endif
 
   HLCS_BT_OP(PushConst) {
     std::uint64_t* r = region(n);
@@ -830,14 +815,7 @@ void BatchTape::run_planes(const BComb& bc, NetId target,
   }
   HLCS_BT_NEXT();
 
-#if HLCS_BT_COMPUTED_GOTO
 l_done:;
-#else
-      case BOp::kCount:
-        fail("batch engine: corrupt batch opcode");
-    }
-  }
-#endif
 #undef HLCS_BT_OP
 #undef HLCS_BT_NEXT
 
@@ -987,7 +965,6 @@ void BatchNetlistSim::clock_edge() {
 // classic 64-lane check at super=8) never pay for idle plane words.
 std::vector<BatchRunner::Block> BatchRunner::partition(std::size_t lanes,
                                                        unsigned super) {
-  if (super == 0) super = cpu_superlanes();
   if (super != 1 && super != 4 && super != 8) {
     fail("batch engine: superlane factor must be 1, 4 or 8 (got " +
          std::to_string(super) + ")");

@@ -9,18 +9,16 @@
 // K x 64 independent simulations at once -- classic bit-parallel gate
 // simulation, applied to the existing bytecode.  K is a runtime choice
 // from {1, 4, 8} (64 / 256 / 512 lanes per instruction); the inner
-// loops carry K as a compile-time constant so the compiler can
-// auto-vectorize a row op into one AVX2 (K=4) or AVX-512 (K=8)
-// operation when the build enables those ISAs (HLCS_NATIVE_SIMD), and
-// into plain unrolled scalar code otherwise.  K=1 reproduces the PR 5
-// 64-lane engine and is always built and tested; cpu_superlanes()
-// reports the widest K the host's vector units back natively.
+// loops carry K as a compile-time constant so the compiler unrolls a
+// row op into K plain word ops.  cpu_superlanes() reports the widest K
+// the host's vector units back natively, the width the interpreter runs
+// at when there is no JIT (hlcs/synth/jit.hpp runs K = 1 natively).
 //
-// The per-instruction dispatch itself is direct-threaded where the
-// compiler supports computed goto (one indirect branch per handler,
-// giving the predictor one BTB entry per opcode *pair* instead of a
-// single shared switch branch), with a portable switch fallback.  On
-// top of that, tape compilation runs a superinstruction fusion pass:
+// The per-instruction dispatch itself is direct-threaded through the
+// GNU computed-goto extension (one indirect branch per handler, giving
+// the predictor one BTB entry per opcode *pair* instead of a single
+// shared switch branch).  On top of that, tape compilation runs a
+// superinstruction fusion pass:
 // the hottest adjacent pairs/triples in synthesized arbitration tapes
 // (push-net feeding a bitwise op, And over a negated net, a compare
 // feeding a Mux, a Mux feeding a CSE-slot store) are peepholed into
@@ -166,7 +164,7 @@ public:
   static constexpr std::size_t kLanes = 64;
   static constexpr unsigned kMaxSuper = 8;
 
-  /// `super` must be 1, 4 or 8 (0 picks cpu_superlanes()).
+  /// `super` must be 1, 4 or 8.
   explicit BatchTape(const Netlist& nl, unsigned super = 1);
 
   const TapeProgram& program() const { return tape_; }
@@ -260,17 +258,20 @@ private:
 /// shared combinational tape over bit-plane rows, K*64 register files
 /// latched together.  The API mirrors NetlistSim with an extra lane
 /// index; settle() evaluates the full tape (the batch engine's win is
-/// lane parallelism, not sparsity).
+/// lane parallelism, not sparsity).  Not movable: the BatchJit holds a
+/// reference to bt_.
 class BatchNetlistSim {
 public:
   static constexpr std::size_t kLanes = BatchTape::kLanes;
 
-  /// `super` must be 1, 4 or 8 (0 picks cpu_superlanes()).  With
+  /// `super` must be 1, 4 or 8.  With
   /// `jit = true` the comb tape runs as native code (hlcs/synth/jit.hpp)
-  /// where the host supports it; the flag is a silent no-op otherwise,
-  /// so callers can request the JIT unconditionally.
+  /// where the host supports it and super is 1; the flag is a silent
+  /// no-op otherwise, so callers can request the JIT unconditionally.
   explicit BatchNetlistSim(const Netlist& nl, unsigned super = 1,
                            bool jit = false);
+  BatchNetlistSim(const BatchNetlistSim&) = delete;
+  BatchNetlistSim& operator=(const BatchNetlistSim&) = delete;
 
   unsigned super() const { return bt_.super(); }
   /// Non-null when settles run through the native batch JIT.
@@ -334,8 +335,7 @@ public:
 
   /// fn(block_index, block); blocks may run concurrently, each on its
   /// own worker.  threads == 0 picks hardware concurrency, threads == 1
-  /// runs serially on the calling thread.  super == 0 picks
-  /// cpu_superlanes().
+  /// runs serially on the calling thread.
   using BlockFn = std::function<void(std::size_t, const Block&)>;
 
   static std::vector<Block> partition(std::size_t lanes, unsigned super);

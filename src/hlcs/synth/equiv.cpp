@@ -202,11 +202,12 @@ LaneOutcome run_scalar_lane(const ObjectDesc& desc, const SynthOptions& opt,
 void run_batch_block(const ObjectDesc& desc, const SynthOptions& opt,
                      const EquivOptions& eopt, const Netlist& nl,
                      const Ports& ports, const BatchRunner::Block& blk,
-                     LaneOutcome* outs, std::vector<EquivVector>* record,
-                     BatchStats* stats_out, JitStats* jit_out) {
+                     bool jit, LaneOutcome* outs,
+                     std::vector<EquivVector>* record, BatchStats* stats_out,
+                     JitStats* jit_out) {
   const std::size_t lane0 = blk.lane0;
   const std::size_t n = blk.lanes;
-  BatchNetlistSim rtl(nl, blk.super, eopt.jit);
+  BatchNetlistSim rtl(nl, blk.super, jit);
   std::vector<GoldenCycleModel> goldens;
   goldens.reserve(n);
   std::vector<LaneStim> stims(n);
@@ -310,7 +311,7 @@ void merge_outcomes(EquivResult& result, const std::vector<LaneOutcome>& outs,
     if (outs[lane].equal) continue;
     result.equal = false;
     result.first_bad_lane = lane;
-    result.first_bad_seed = sim::lane_seed(eopt.seed, lane);
+    result.first_bad_seed = sim::lane_root(eopt.seed, lane);
     result.first_mismatch =
         lane_prefix(lane, result.first_bad_seed) + outs[lane].mismatch;
     // Replay the failing lane alone on the scalar engine so the
@@ -346,23 +347,26 @@ EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
   result.vectors.reserve(eopt.cycles);
   std::vector<LaneOutcome> outs(lanes);
 
-  if (eopt.batch) {
-    // Per-block stats land in a block-indexed vector and are summed in
-    // block order afterwards, so the totals (like the verdicts) are
-    // identical at any thread count.
-    const std::size_t nblocks = BatchRunner::block_count(lanes, eopt.superlanes);
+  const bool batch = lanes >= BatchTape::kLanes;
+  if (batch) {
+    // K = 1 through the batch JIT, or the interpreter at the host's
+    // native superlane width.  Per-block stats land in a block-indexed
+    // vector and are summed in block order afterwards, so the totals
+    // (like the verdicts) are identical at any thread count.
+    const bool jit = BatchJit::host_supported();
+    const unsigned super = jit ? 1 : cpu_superlanes();
+    const std::size_t nblocks = BatchRunner::block_count(lanes, super);
     std::vector<BatchStats> stats(nblocks);
     std::vector<JitStats> jstats(nblocks);
-    BatchRunner::run(lanes, eopt.threads, eopt.superlanes,
+    BatchRunner::run(lanes, eopt.threads, super,
                      [&](std::size_t block, const BatchRunner::Block& blk) {
-                       run_batch_block(desc, opt, eopt, nl, ports, blk,
+                       run_batch_block(desc, opt, eopt, nl, ports, blk, jit,
                                        outs.data() + blk.lane0,
                                        block == 0 ? &result.vectors : nullptr,
                                        &stats[block], &jstats[block]);
                      });
     for (const BatchStats& s : stats) result.batch_stats += s;
     for (const JitStats& s : jstats) result.jit_stats += s;
-    result.batch_scalar_fraction = result.batch_stats.scalar_fraction();
   } else {
     NetlistSim rtl(nl);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -372,7 +376,7 @@ EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
     }
   }
 
-  merge_outcomes(result, outs, desc, opt, eopt, nl, ports, eopt.batch);
+  merge_outcomes(result, outs, desc, opt, eopt, nl, ports, batch);
   return result;
 }
 

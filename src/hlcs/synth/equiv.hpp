@@ -9,19 +9,22 @@
 // emit_verilog_testbench() can turn into a self-checking Verilog bench
 // for downstream tools.
 //
-// The check scales out in two independent directions:
-//   - lanes: N independently seeded stimulus streams (lane i's RNG is
-//     seeded with sim::lane_seed(seed, i)), each a complete lock-step
-//     run.  More lanes = more coverage from one invocation, and any
-//     failure names the lane and its standalone-reproducible seed.
-//   - batch: evaluate lanes K*64 at a time on the bit-parallel engine
-//     (synth::BatchNetlistSim), sharding superlane blocks across worker
-//     threads.  Stimulus depends only on each lane's RNG and the golden
-//     model, never on RTL outputs, so batch and scalar backends produce
-//     bit-identical verdicts at any thread count, lane count, or
-//     superlane width; the first mismatching lane is re-run on the
-//     scalar engine to regenerate the single-lane EquivVector
-//     diagnostics.
+// The check scales out over lanes: N independently seeded stimulus
+// streams (lane i's RNG is seeded with sim::lane_seed(seed, i)), each a
+// complete lock-step run.  More lanes = more coverage from one
+// invocation, and any failure names the lane and a root seed that
+// replays it standalone.  The engine follows from the lane count: from
+// BatchTape::kLanes (64) lanes up, lanes run in blocks on the
+// bit-parallel engine (synth::BatchNetlistSim: 64 at a time through the
+// batch JIT where the host has one, else K*64 on the interpreter),
+// sharding blocks across worker threads; below that, one scalar
+// NetlistSim runs the lanes one after another.  64 is where the batch
+// engine overtakes the scalar one (docs/PERF.md, "The netlist execution
+// engine").
+// Stimulus depends only on each lane's RNG and the golden model, never
+// on RTL outputs, so both engines produce identical verdicts at any
+// thread or lane count; the first mismatching lane is re-run on the
+// scalar engine to regenerate the single-lane EquivVector diagnostics.
 #pragma once
 
 #include <cstdint>
@@ -44,23 +47,12 @@ struct EquivOptions {
   unsigned reroll_after = 5;
   /// Probability (percent, per cycle) of pulsing the synchronous reset.
   unsigned reset_percent = 0;
-  /// Independently seeded stimulus streams, each `cycles` long.
+  /// Independently seeded stimulus streams, each `cycles` long.  From
+  /// BatchTape::kLanes lanes up they run on the batch engine.
   std::size_t lanes = 1;
-  /// Evaluate lanes on the bit-parallel engine instead of one scalar
-  /// simulation per lane.  Verdicts are bit-identical either way.
-  bool batch = false;
-  /// Worker threads for batch mode (one superlane block per claim);
-  /// 0 = hardware concurrency.  Ignored when batch is false.
+  /// Worker threads for the batch engine (one lane block per claim);
+  /// 0 = hardware concurrency.
   unsigned threads = 1;
-  /// Superlane factor for batch mode: 1, 4 or 8 (K*64 lanes advanced
-  /// per tape instruction), or 0 to pick cpu_superlanes().  The
-  /// partition of lanes into blocks depends only on (lanes, superlanes),
-  /// never on thread count.  Ignored when batch is false.
-  unsigned superlanes = 1;
-  /// Run each block's comb tape as native code (hlcs/synth/jit.hpp).
-  /// Verdicts are bit-identical to the interpreter; a silent no-op on
-  /// hosts without JIT support.  Ignored when batch is false.
-  bool jit = false;
 };
 
 /// One recorded cycle of the lock-step run (also usable as a test
@@ -84,21 +76,18 @@ struct EquivResult {
   /// unequal, lane 0's stream otherwise.
   std::vector<EquivVector> vectors;
   std::size_t lanes = 1;
-  /// Lowest mismatching lane and its derived seed (valid when !equal).
-  /// Re-running with that value as the root seed and lanes=1 replays
-  /// the failing stream standalone.
+  /// Lowest mismatching lane and the root seed that replays it (valid
+  /// when !equal): a 1-lane run with first_bad_seed as its seed drives
+  /// exactly that lane's stimulus (sim::lane_root).
   std::size_t first_bad_lane = 0;
   std::uint64_t first_bad_seed = 0;
-  /// Batch mode only: fraction of comb evaluations that took the
-  /// per-lane scalar fallback (0 when fully bit-parallel).
-  double batch_scalar_fraction = 0.0;
-  /// Batch mode only: engine counters summed over every block (fused
+  /// Batch engine only: engine counters summed over every block (fused
   /// superinstructions executed, scalar-fallback tape instructions,
-  /// plane instructions, ...).
+  /// plane instructions, ...).  settles == 0 means the scalar engine ran.
   BatchStats batch_stats;
-  /// Batch+jit mode only: JIT compile/runtime counters summed over
-  /// every block in block order.  enabled is false when the JIT was
-  /// requested but unavailable (or never requested).
+  /// Batch engine on the JIT only: compile/runtime counters summed over
+  /// every block in block order.  enabled is false when the batch
+  /// interpreter (or the scalar engine) ran.
   JitStats jit_stats;
 
   explicit operator bool() const { return equal; }

@@ -359,7 +359,7 @@ void TapeJit::run_full(std::uint64_t* nets, std::uint64_t* stack,
 
 namespace {
 
-/// Where one row of an emit-time value lives: K words at [base+disp],
+/// Where one row of an emit-time value lives: one word at [base+disp],
 /// or a constant all-zero / all-one row (PushConst operands and reads
 /// past a value's width never materialize).
 struct RowSrc {
@@ -379,29 +379,30 @@ struct EV {
   unsigned w = 0;
 };
 
-RowSrc row_of(const EV& e, unsigned b, unsigned K) {
+/// Byte offset of row b inside a region starting at `disp`.
+std::int32_t row_disp(std::int32_t disp, unsigned b) {
+  return disp + static_cast<std::int32_t>(b * 8);
+}
+
+RowSrc row_of(const EV& e, unsigned b) {
   if (e.is_const) {
     return RowSrc{b < 64 && ((e.cval >> b) & 1) != 0 ? RowSrc::Ones
                                                      : RowSrc::Zero};
   }
-  if (b < e.w) {
-    return RowSrc{RowSrc::Mem, e.base,
-                  e.disp + static_cast<std::int32_t>(b * K * 8)};
-  }
+  if (b < e.w) return RowSrc{RowSrc::Mem, e.base, row_disp(e.disp, b)};
   return RowSrc{RowSrc::Zero};
 }
 
 }  // namespace
 
 BatchJit::BatchJit(BatchTape& bt) : bt_(bt) {
-  if (!host_supported()) return;
+  if (!host_supported() || bt_.super() != 1) return;
   const std::uint64_t t0 = now_ns();
-  const unsigned K = bt_.super();
   const TapeProgram& tape = bt_.program();
   const auto& combs = tape.combs();
   const auto& code = tape.code();
   scratch_.resize(std::size_t{tape.max_stack() + tape.max_slots()} *
-                      BatchTape::kLanes * K,
+                      BatchTape::kLanes,
                   0);
   slot_w_.assign(tape.max_slots(), 0);
   slot_set_.assign(tape.max_slots(), 0);
@@ -450,21 +451,9 @@ BatchJit::BatchJit(BatchTape& bt) : bt_(bt) {
     }
     const std::uint32_t off = static_cast<std::uint32_t>(e.size());
     e.push_r(Reg::RBX);
-    if (K == 8) {
-      e.push_r(Reg::R12);
-      e.push_r(Reg::R13);
-      e.push_r(Reg::R14);
-      e.push_r(Reg::R15);
-    }
     while (ci < combs.size() && native[ci]) {
       emit_comb(e, ci);
       ++ci;
-    }
-    if (K == 8) {
-      e.pop_r(Reg::R15);
-      e.pop_r(Reg::R14);
-      e.pop_r(Reg::R13);
-      e.pop_r(Reg::R12);
     }
     e.pop_r(Reg::RBX);
     e.ret();
@@ -482,11 +471,12 @@ BatchJit::BatchJit(BatchTape& bt) : bt_(bt) {
 }
 
 bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
-  const unsigned K = bt_.super();
   const TapeProgram& tape = bt_.program();
   const TapeComb& c = tape.combs()[ci];
   const TapeInsn* code = tape.code().data();
-  const std::size_t region_words = std::size_t{BatchTape::kLanes} * K;
+  constexpr std::size_t region_words = BatchTape::kLanes;
+  // The per-lane carry/accumulator register of the ripple chains.
+  constexpr Reg kCarry = Reg::R8;
 
   // Scratch layout at [rsi]: one fixed 64-row region per stack depth,
   // then one per CSE slot (mirrors BatchTape's stack_planes_ /
@@ -500,26 +490,20 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
   };
   const auto net_ev = [&](std::uint32_t net) {
     return EV{false, Reg::RDI,
-              static_cast<std::int32_t>(std::size_t{bt_.plane_off_[net]} * K *
-                                        8),
+              static_cast<std::int32_t>(std::size_t{bt_.plane_off_[net]} * 8),
               0, bt_.width_[net]};
   };
-  const auto creg = [](unsigned j) { return static_cast<Reg>(Reg::R8 + j); };
-  const auto load_row = [&](Reg dst, RowSrc s, unsigned j) {
+  const auto load_row = [&](Reg dst, RowSrc s) {
     switch (s.kind) {
-      case RowSrc::Mem:
-        e.mov_rm(dst, s.base, s.disp + static_cast<std::int32_t>(8 * j));
-        break;
+      case RowSrc::Mem: e.mov_rm(dst, s.base, s.disp); break;
       case RowSrc::Zero: e.mov_ri(dst, 0); break;
       case RowSrc::Ones: e.mov_ri(dst, ~std::uint64_t{0}); break;
     }
   };
-  // dst = dst OP row-word (And/Or/Xor only; identity rows fold away).
-  const auto alu_row = [&](Alu op, Reg dst, RowSrc s, unsigned j) {
+  // dst = dst OP row (And/Or/Xor only; identity rows fold away).
+  const auto alu_row = [&](Alu op, Reg dst, RowSrc s) {
     switch (s.kind) {
-      case RowSrc::Mem:
-        e.alu_rm(op, dst, s.base, s.disp + static_cast<std::int32_t>(8 * j));
-        break;
+      case RowSrc::Mem: e.alu_rm(op, dst, s.base, s.disp); break;
       case RowSrc::Zero:
         if (op == Alu::And) e.mov_ri(dst, 0);
         break;
@@ -528,22 +512,19 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         break;
     }
   };
-  const auto store_row = [&](std::int32_t disp, unsigned j, Reg src) {
-    e.mov_mr(Reg::RSI, disp + static_cast<std::int32_t>(8 * j), src);
+  const auto store_row = [&](std::int32_t disp, Reg src) {
+    e.mov_mr(Reg::RSI, disp, src);
   };
 
   std::vector<EV> st;
   st.reserve(tape.max_stack());
   std::fill(slot_set_.begin(), slot_set_.end(), 0);
 
-  // Selector-style truthiness OR-accumulation into the carry registers
+  // Selector-style truthiness OR-accumulation into the carry register
   // (Mux selectors, RedOr).
   const auto accum_or = [&](const EV& v) {
-    for (unsigned j = 0; j < K; ++j) e.mov_ri(creg(j), 0);
-    for (unsigned b = 0; b < v.w; ++b) {
-      const RowSrc r = row_of(v, b, K);
-      for (unsigned j = 0; j < K; ++j) alu_row(Alu::Or, creg(j), r, j);
-    }
+    e.mov_ri(kCarry, 0);
+    for (unsigned b = 0; b < v.w; ++b) alu_row(Alu::Or, kCarry, row_of(v, b));
   };
   // Borrow chain for the ordered compares: carry out of x + ~y + 1 over
   // the full width is (x >= y) per lane -- same formula, same row
@@ -551,26 +532,20 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
   const auto emit_cmp = [&](const EV& x, const EV& y, bool invert,
                             std::size_t depth) -> EV {
     const unsigned w = x.w > y.w ? x.w : y.w;
-    for (unsigned j = 0; j < K; ++j) e.mov_ri(creg(j), ~std::uint64_t{0});
+    e.mov_ri(kCarry, ~std::uint64_t{0});
     for (unsigned b = 0; b < w; ++b) {
-      const RowSrc a = row_of(x, b, K);
-      const RowSrc q = row_of(y, b, K);
-      for (unsigned j = 0; j < K; ++j) {
-        load_row(Reg::RAX, a, j);
-        load_row(Reg::RCX, q, j);
-        e.not_r(Reg::RCX);  // qv = ~q
-        e.mov_rr(Reg::RDX, Reg::RAX);
-        e.alu_rr(Alu::And, Reg::RDX, Reg::RCX);  // av & qv
-        e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);  // av ^ qv
-        e.alu_rr(Alu::And, creg(j), Reg::RAX);
-        e.alu_rr(Alu::Or, creg(j), Reg::RDX);
-      }
+      load_row(Reg::RAX, row_of(x, b));
+      load_row(Reg::RCX, row_of(y, b));
+      e.not_r(Reg::RCX);  // qv = ~q
+      e.mov_rr(Reg::RDX, Reg::RAX);
+      e.alu_rr(Alu::And, Reg::RDX, Reg::RCX);  // av & qv
+      e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);  // av ^ qv
+      e.alu_rr(Alu::And, kCarry, Reg::RAX);
+      e.alu_rr(Alu::Or, kCarry, Reg::RDX);
     }
     const std::int32_t rd = region_disp(depth);
-    for (unsigned j = 0; j < K; ++j) {
-      if (invert) e.not_r(creg(j));
-      store_row(rd, j, creg(j));
-    }
+    if (invert) e.not_r(kCarry);
+    store_row(rd, kCarry);
     return EV{false, Reg::RSI, rd, 0, 1};
   };
 
@@ -598,11 +573,8 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         st.pop_back();
         const std::int32_t sd = slot_disp(in.aux);
         for (unsigned b = 0; b < v.w; ++b) {
-          const RowSrc r = row_of(v, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, r, j);
-            store_row(sd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(v, b));
+          store_row(row_disp(sd, b), Reg::RAX);
         }
         slot_w_[in.aux] = v.w;
         slot_set_[in.aux] = 1;
@@ -613,12 +585,9 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         const unsigned w = mask_width(in.imm);
         const std::int32_t rd = region_disp(n - 1);
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc r = row_of(v, b, K);  // same-index: in-place safe
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, r, j);
-            e.not_r(Reg::RAX);
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(v, b));  // same-index: in-place safe
+          e.not_r(Reg::RAX);
+          store_row(row_disp(rd, b), Reg::RAX);
         }
         v = EV{false, Reg::RSI, rd, 0, w};
         break;
@@ -628,17 +597,14 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         EV& v = st.back();
         const unsigned w = mask_width(in.imm);
         const std::int32_t rd = region_disp(n - 1);
-        for (unsigned j = 0; j < K; ++j) e.mov_ri(creg(j), ~std::uint64_t{0});
+        e.mov_ri(kCarry, ~std::uint64_t{0});
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc r = row_of(v, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, r, j);
-            e.not_r(Reg::RAX);  // q = ~x
-            e.mov_rr(Reg::RCX, Reg::RAX);
-            e.alu_rr(Alu::Xor, Reg::RCX, creg(j));  // q ^ carry
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RCX);
-            e.alu_rr(Alu::And, creg(j), Reg::RAX);  // carry &= q
-          }
+          load_row(Reg::RAX, row_of(v, b));
+          e.not_r(Reg::RAX);  // q = ~x
+          e.mov_rr(Reg::RCX, Reg::RAX);
+          e.alu_rr(Alu::Xor, Reg::RCX, kCarry);  // q ^ carry
+          store_row(row_disp(rd, b), Reg::RCX);
+          e.alu_rr(Alu::And, kCarry, Reg::RAX);  // carry &= q
         }
         v = EV{false, Reg::RSI, rd, 0, w};
         break;
@@ -647,20 +613,19 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         EV& v = st.back();
         accum_or(v);
         const std::int32_t rd = region_disp(n - 1);
-        for (unsigned j = 0; j < K; ++j) store_row(rd, j, creg(j));
+        store_row(rd, kCarry);
         v = EV{false, Reg::RSI, rd, 0, 1};
         break;
       }
       case TapeOp::RedAnd: {
         EV& v = st.back();
         const unsigned w = mask_width(in.imm);  // operand width
-        for (unsigned j = 0; j < K; ++j) e.mov_ri(creg(j), ~std::uint64_t{0});
+        e.mov_ri(kCarry, ~std::uint64_t{0});
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc r = row_of(v, b, K);
-          for (unsigned j = 0; j < K; ++j) alu_row(Alu::And, creg(j), r, j);
+          alu_row(Alu::And, kCarry, row_of(v, b));
         }
         const std::int32_t rd = region_disp(n - 1);
-        for (unsigned j = 0; j < K; ++j) store_row(rd, j, creg(j));
+        store_row(rd, kCarry);
         v = EV{false, Reg::RSI, rd, 0, 1};
         break;
       }
@@ -670,43 +635,34 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         const std::int32_t rd = region_disp(n - 1);
         // Reads run ahead of writes: ascending is in-place safe.
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc r = row_of(v, b + in.aux, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, r, j);
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(v, b + in.aux));
+          store_row(row_disp(rd, b), Reg::RAX);
         }
         v = EV{false, Reg::RSI, rd, 0, w};
         break;
       }
       case TapeOp::Add:
       case TapeOp::Sub: {
-        // Ripple carry/borrow: one K*64-lane full adder per bit row.
+        // Ripple carry/borrow: one 64-lane full adder per bit row.
         const bool is_sub = in.op == TapeOp::Sub;
         const EV rhs = st.back();
         st.pop_back();
         EV& lhs = st.back();
         const unsigned w = mask_width(in.imm);
         const std::int32_t rd = region_disp(n - 2);
-        for (unsigned j = 0; j < K; ++j) {
-          e.mov_ri(creg(j), is_sub ? ~std::uint64_t{0} : 0);
-        }
+        e.mov_ri(kCarry, is_sub ? ~std::uint64_t{0} : 0);
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc a = row_of(lhs, b, K);  // same-index: in-place safe
-          const RowSrc q = row_of(rhs, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, a, j);
-            load_row(Reg::RCX, q, j);
-            if (is_sub) e.not_r(Reg::RCX);
-            e.mov_rr(Reg::RDX, Reg::RAX);
-            e.alu_rr(Alu::And, Reg::RDX, Reg::RCX);  // av & qv
-            e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);  // x = av ^ qv
-            e.mov_rr(Reg::RBX, Reg::RAX);
-            e.alu_rr(Alu::Xor, Reg::RBX, creg(j));  // r = x ^ carry
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RBX);
-            e.alu_rr(Alu::And, creg(j), Reg::RAX);  // carry & x
-            e.alu_rr(Alu::Or, creg(j), Reg::RDX);   // | (av & qv)
-          }
+          load_row(Reg::RAX, row_of(lhs, b));  // same-index: in-place safe
+          load_row(Reg::RCX, row_of(rhs, b));
+          if (is_sub) e.not_r(Reg::RCX);
+          e.mov_rr(Reg::RDX, Reg::RAX);
+          e.alu_rr(Alu::And, Reg::RDX, Reg::RCX);  // av & qv
+          e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);  // x = av ^ qv
+          e.mov_rr(Reg::RBX, Reg::RAX);
+          e.alu_rr(Alu::Xor, Reg::RBX, kCarry);  // r = x ^ carry
+          store_row(row_disp(rd, b), Reg::RBX);
+          e.alu_rr(Alu::And, kCarry, Reg::RAX);  // carry & x
+          e.alu_rr(Alu::Or, kCarry, Reg::RDX);   // | (av & qv)
         }
         lhs = EV{false, Reg::RSI, rd, 0, w};
         break;
@@ -724,13 +680,9 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
                                                                 : Alu::Xor);
         const std::int32_t rd = region_disp(n - 2);
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc a = row_of(lhs, b, K);
-          const RowSrc q = row_of(rhs, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, a, j);
-            alu_row(op, Reg::RAX, q, j);
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(lhs, b));
+          alu_row(op, Reg::RAX, row_of(rhs, b));
+          store_row(row_disp(rd, b), Reg::RAX);
         }
         lhs = EV{false, Reg::RSI, rd, 0, w};
         break;
@@ -741,22 +693,16 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         st.pop_back();
         EV& lhs = st.back();
         const unsigned w = lhs.w > rhs.w ? lhs.w : rhs.w;
-        for (unsigned j = 0; j < K; ++j) e.mov_ri(creg(j), ~std::uint64_t{0});
+        e.mov_ri(kCarry, ~std::uint64_t{0});
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc a = row_of(lhs, b, K);
-          const RowSrc q = row_of(rhs, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, a, j);
-            alu_row(Alu::Xor, Reg::RAX, q, j);
-            e.not_r(Reg::RAX);
-            e.alu_rr(Alu::And, creg(j), Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(lhs, b));
+          alu_row(Alu::Xor, Reg::RAX, row_of(rhs, b));
+          e.not_r(Reg::RAX);
+          e.alu_rr(Alu::And, kCarry, Reg::RAX);
         }
         const std::int32_t rd = region_disp(n - 2);
-        for (unsigned j = 0; j < K; ++j) {
-          if (in.op == TapeOp::Ne) e.not_r(creg(j));
-          store_row(rd, j, creg(j));
-        }
+        if (in.op == TapeOp::Ne) e.not_r(kCarry);
+        store_row(rd, kCarry);
         lhs = EV{false, Reg::RSI, rd, 0, 1};
         break;
       }
@@ -787,19 +733,13 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         // interpreter: row b reads row b - lo < b, so an in-place lhs
         // is never clobbered before it is read.
         for (unsigned b = w; b-- > lo;) {
-          const RowSrc a = row_of(lhs, b - lo, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, a, j);
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(lhs, b - lo));
+          store_row(row_disp(rd, b), Reg::RAX);
         }
         const unsigned rw = lo < w ? lo : w;
         for (unsigned b = 0; b < rw; ++b) {
-          const RowSrc q = row_of(rhs, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            load_row(Reg::RAX, q, j);
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          load_row(Reg::RAX, row_of(rhs, b));
+          store_row(row_disp(rd, b), Reg::RAX);
         }
         lhs = EV{false, Reg::RSI, rd, 0, w};
         break;
@@ -810,21 +750,17 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
         const EV thn = st.back();
         st.pop_back();
         EV& sel = st.back();
-        accum_or(sel);  // per-lane selector truthiness in r8..
+        accum_or(sel);  // per-lane selector truthiness in r8
         const unsigned w = thn.w > els.w ? thn.w : els.w;
         const std::int32_t rd = region_disp(n - 3);
         for (unsigned b = 0; b < w; ++b) {
-          const RowSrc t = row_of(thn, b, K);
-          const RowSrc z = row_of(els, b, K);
-          for (unsigned j = 0; j < K; ++j) {
-            // r = z ^ (s & (t ^ z))  ==  (s & t) | (~s & z)
-            load_row(Reg::RAX, t, j);
-            load_row(Reg::RCX, z, j);
-            e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);
-            e.alu_rr(Alu::And, Reg::RAX, creg(j));
-            e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);
-            store_row(rd + static_cast<std::int32_t>(b * K * 8), j, Reg::RAX);
-          }
+          // r = z ^ (s & (t ^ z))  ==  (s & t) | (~s & z)
+          load_row(Reg::RAX, row_of(thn, b));
+          load_row(Reg::RCX, row_of(els, b));
+          e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);
+          e.alu_rr(Alu::And, Reg::RAX, kCarry);
+          e.alu_rr(Alu::Xor, Reg::RAX, Reg::RCX);
+          store_row(row_disp(rd, b), Reg::RAX);
         }
         sel = EV{false, Reg::RSI, rd, 0, w};
         break;
@@ -840,15 +776,11 @@ bool BatchJit::emit_comb(X64Emitter& e, std::size_t ci) {
   // result width, exactly like run_planes' final copy).
   const EV res = st.back();
   const std::int32_t td =
-      static_cast<std::int32_t>(std::size_t{bt_.plane_off_[c.target]} * K * 8);
+      static_cast<std::int32_t>(std::size_t{bt_.plane_off_[c.target]} * 8);
   const unsigned wt = bt_.width_[c.target];
   for (unsigned b = 0; b < wt; ++b) {
-    const RowSrc r = row_of(res, b, K);
-    for (unsigned j = 0; j < K; ++j) {
-      load_row(Reg::RAX, r, j);
-      e.mov_mr(Reg::RDI, td + static_cast<std::int32_t>((b * K + j) * 8),
-               Reg::RAX);
-    }
+    load_row(Reg::RAX, row_of(res, b));
+    e.mov_mr(Reg::RDI, row_disp(td, b), Reg::RAX);
   }
   ++stats_.combs_native;
   return true;

@@ -10,23 +10,22 @@
 //    compilable combs are concatenated into segment functions, which is
 //    where the win over the interpreter comes from: no dispatch, no
 //    stack traffic, and values that a fused interpreter pair would
-//    re-load stay register-cached across the pair.  It drops into
-//    NetlistSim as SettleMode::Jit (a full-tape mode, like FullTape but
-//    native).
+//    re-load stay register-cached across the pair.  NetlistSim settles
+//    through it wherever the host supports it.
 //
-//  * BatchJit lowers the same tape over superlane bit-plane rows (the
-//    BatchTape layout, K in {1,4,8} words per row): every plane-friendly
-//    op unrolls to w x K machine ops, with ripple carry/borrow chains
-//    for Add/Sub/Neg and the ordered compares carried in r8..r15.  It
-//    drops into BatchNetlistSim behind a constructor flag.
+//  * BatchJit lowers the same tape over 64-lane bit-plane rows (the
+//    BatchTape layout at K = 1): every plane-friendly op unrolls to w
+//    machine ops, with ripple carry/borrow chains for Add/Sub/Neg and
+//    the ordered compares carried in r8.  It drops into BatchNetlistSim
+//    behind a constructor flag.
 //
-// The interpreter remains the always-built A/B reference.  Combs whose
-// tape contains Mul or a data-dependent shift (Shl/Shr) -- the same set
-// the batch engine classifies as scalar -- deopt per comb back to the
-// interpreter, with per-opcode counters; non-x86-64 hosts or HLCS_JIT=OFF
-// builds simply report host_supported() == false and the callers fall
-// back wholesale.  Verdicts are bit-identical to the interpreter in
-// every mode (tests/synth/test_jit.cpp is the matrix).
+// Combs whose tape contains Mul or a data-dependent shift (Shl/Shr) --
+// the same set the batch engine classifies as scalar -- deopt per comb
+// back to the interpreter, with per-opcode counters; non-x86-64 hosts
+// or HLCS_JIT=OFF builds simply report host_supported() == false and
+// the callers fall back wholesale to the interpreter.  Verdicts are
+// bit-identical to the interpreter (tests/synth/test_jit.cpp is the
+// matrix).
 #pragma once
 
 #include <array>
@@ -88,9 +87,8 @@ public:
   bool available() const { return code_.installed(); }
 
   /// Evaluate every comb in topological order (one full settle), updating
-  /// `stats` the way the interpreter's full-tape mode does:
-  /// combs_evaluated counts every comb, tape_instructions only the
-  /// interpreted (deopted) ones.
+  /// `stats` the way the interpreter settle does: combs_evaluated counts
+  /// every comb, tape_instructions only the interpreted (deopted) ones.
   void run_full(std::uint64_t* nets, std::uint64_t* stack,
                 std::uint64_t* slots, NetlistStats* stats);
 
@@ -111,10 +109,11 @@ private:
   JitStats stats_;
 };
 
-/// Superlane tape -> native code over a BatchTape's plane layout.  The
-/// BatchTape reference must outlive the BatchJit; deopted combs are
-/// routed back through the BatchTape interpreter (scalar fallback or
-/// plane interpreter), so verdicts stay bit-identical per comb.
+/// 64-lane tape -> native code over a K = 1 BatchTape's plane layout
+/// (available() is false at any other K).  The BatchTape reference must
+/// outlive the BatchJit; deopted combs are routed back through the
+/// BatchTape interpreter (scalar fallback or plane interpreter), so
+/// verdicts stay bit-identical per comb.
 class BatchJit {
 public:
   static bool host_supported() { return TapeJit::host_supported(); }

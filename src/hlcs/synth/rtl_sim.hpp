@@ -2,12 +2,13 @@
 //
 // NetlistSim is a standalone two-phase evaluator (settle combinational
 // logic, latch registers on clock_edge()) used by the consistency
-// experiments and tests.  Since PR 2 the combinational logic runs on a
-// compile-once bytecode tape (hlcs/synth/tape.hpp) and settling is
-// event-driven: only the cone reachable from nets that actually changed
-// is re-evaluated, drained in topological-level order.  The legacy
-// recursive tree-walk and a full-tape mode are kept selectable for A/B
-// measurement and the bit-identity test suite (docs/PERF.md).
+// experiments and tests.  The combinational logic is compiled once to a
+// bytecode tape (hlcs/synth/tape.hpp), and every settle evaluates the
+// whole tape in topological order: through TapeJit's native segments
+// where the host supports the JIT, through the tape interpreter
+// otherwise.  A settle with no input or register change since the last
+// one returns at once, since every comb would recompute the value it
+// already holds.
 //
 // RtlModule wraps a NetlistSim into a kernel Module driven by a Clock
 // with Signal<uint64_t> pins, so synthesised blocks co-simulate with
@@ -32,60 +33,38 @@
 
 namespace hlcs::synth {
 
-/// How settle() evaluates the combinational logic.
-enum class SettleMode : std::uint8_t {
-  Incremental,  ///< event-driven: dirty cone only, in level order (default)
-  FullTape,     ///< every comb, every settle, on the bytecode tape
-  TreeWalk,     ///< every comb via the recursive interpreter (A/B reference)
-  Jit,          ///< every comb, as native code (falls back to FullTape
-                ///< evaluation on hosts without JIT support)
-};
-
-inline const char* to_string(SettleMode m) {
-  switch (m) {
-    case SettleMode::Incremental: return "incremental";
-    case SettleMode::FullTape: return "full_tape";
-    case SettleMode::TreeWalk: return "tree_walk";
-    case SettleMode::Jit: return "jit";
-  }
-  return "?";
-}
-
+/// Not movable: the TapeJit holds a reference to tape_.
 class NetlistSim {
 public:
-  explicit NetlistSim(const Netlist& nl,
-                      SettleMode mode = SettleMode::Incremental)
+  explicit NetlistSim(const Netlist& nl)
       : nl_(nl),
-        mode_(mode),
         tape_(TapeProgram::compile(nl)),
         values_(nl.nets().size(), 0),
         stack_(std::max<std::uint32_t>(tape_.max_stack(), 1), 0),
         slots_(std::max<std::uint32_t>(tape_.max_slots(), 1), 0),
-        latch_(nl.regs().size(), 0),
-        dirty_(tape_.combs().size(), 0),
-        buckets_(tape_.levels()) {
-    if (mode_ == SettleMode::TreeWalk) order_ = nl.validate_and_order();
-    if (mode_ == SettleMode::Jit && TapeJit::host_supported()) {
+        latch_(nl.regs().size(), 0) {
+    if (TapeJit::host_supported()) {
       jit_ = std::make_unique<TapeJit>(tape_);
       if (!jit_->available()) jit_.reset();  // fall back to the tape loop
     }
     reset_state();
   }
+  NetlistSim(const NetlistSim&) = delete;
+  NetlistSim& operator=(const NetlistSim&) = delete;
 
-  /// Latch every register's initial value and settle (fully).
+  /// Latch every register's initial value and settle.
   void reset_state() {
     for (const RegDesc& r : nl_.regs()) values_[r.q] = r.init;
-    full_settle();
-    ++stats_.settles;
-    ++stats_.full_settles;
+    changed_ = true;
+    settle();
   }
 
   void set_input(NetId n, std::uint64_t v) {
     v &= ExprArena::mask(nl_.nets()[n].width);
     if (values_[n] == v) return;
     values_[n] = v;
+    changed_ = true;
     ++stats_.input_changes;
-    if (mode_ == SettleMode::Incremental) mark_net(n);
   }
   void set_input(const std::string& name, std::uint64_t v) {
     set_input(nl_.find(name), v);
@@ -96,36 +75,23 @@ public:
     return values_.at(nl_.find(name));
   }
 
-  /// Propagate combinational logic.  Incremental mode drains the dirty
-  /// worklist level by level; the other modes evaluate every comb.
+  /// Propagate combinational logic: evaluate every comb in topological
+  /// order, unless nothing changed since the last settle.
   void settle() {
     ++stats_.settles;
-    if (mode_ != SettleMode::Incremental) {
-      full_settle();
-      ++stats_.full_settles;
+    if (!changed_) return;
+    changed_ = false;
+    ++stats_.full_settles;
+    if (jit_) {
+      jit_->run_full(values_.data(), stack_.data(), slots_.data(), &stats_);
       return;
     }
-    stats_.combs_possible += tape_.combs().size();
-    if (pending_ == 0) return;
-    const std::vector<TapeComb>& combs = tape_.combs();
-    for (std::vector<std::uint32_t>& bucket : buckets_) {
-      // Evaluating a comb at level L only dirties strictly higher
-      // levels, so this bucket cannot grow while we drain it.
-      for (std::uint32_t ci : bucket) {
-        dirty_[ci] = 0;
-        const TapeComb& c = combs[ci];
-        const std::uint64_t v =
-            tape_.run(c, values_.data(), stack_.data(), slots_.data());
-        ++stats_.combs_evaluated;
-        stats_.tape_instructions += c.end - c.begin;
-        if (values_[c.target] != v) {
-          values_[c.target] = v;
-          mark_net(c.target);
-        }
-      }
-      bucket.clear();
+    for (const TapeComb& c : tape_.combs()) {
+      values_[c.target] =
+          tape_.run(c, values_.data(), stack_.data(), slots_.data());
+      stats_.tape_instructions += c.end - c.begin;
     }
-    pending_ = 0;
+    stats_.combs_evaluated += tape_.combs().size();
   }
 
   /// One rising clock edge: settle, latch all registers simultaneously,
@@ -140,8 +106,8 @@ public:
       const NetId q = regs[i].q;
       if (values_[q] == latch_[i]) continue;
       values_[q] = latch_[i];
+      changed_ = true;
       ++stats_.reg_changes;
-      if (mode_ == SettleMode::Incremental) mark_net(q);
     }
     settle();
     ++stats_.edges;
@@ -149,68 +115,20 @@ public:
 
   const Netlist& netlist() const { return nl_; }
   const TapeProgram& tape() const { return tape_; }
-  SettleMode mode() const { return mode_; }
   const NetlistStats& stats() const { return stats_; }
   void reset_stats() { stats_ = NetlistStats{}; }
-  /// Non-null when settles run through the native JIT (SettleMode::Jit
-  /// on a supported host).
+  /// Non-null when settles run through the native JIT.
   const JitStats* jit_stats() const { return jit_ ? &jit_->stats() : nullptr; }
 
 private:
-  /// Evaluate every comb in topological order, then discard any pending
-  /// dirty state (everything is consistent afterwards).
-  void full_settle() {
-    stats_.combs_possible += tape_.combs().size();
-    if (jit_) {
-      jit_->run_full(values_.data(), stack_.data(), slots_.data(), &stats_);
-    } else if (mode_ == SettleMode::TreeWalk) {
-      const auto& combs = nl_.combs();
-      for (std::size_t ci : order_) {
-        values_[combs[ci].target] =
-            eval(nl_.arena(), combs[ci].value, values_, {});
-        ++stats_.combs_evaluated;
-      }
-    } else {
-      for (const TapeComb& c : tape_.combs()) {
-        values_[c.target] =
-            tape_.run(c, values_.data(), stack_.data(), slots_.data());
-        ++stats_.combs_evaluated;
-        stats_.tape_instructions += c.end - c.begin;
-      }
-    }
-    if (pending_ != 0) {
-      for (std::vector<std::uint32_t>& bucket : buckets_) {
-        for (std::uint32_t ci : bucket) dirty_[ci] = 0;
-        bucket.clear();
-      }
-      pending_ = 0;
-    }
-  }
-
-  void mark_net(NetId n) {
-    const std::uint32_t* it = tape_.fanout_begin(n);
-    const std::uint32_t* end = tape_.fanout_end(n);
-    for (; it != end; ++it) {
-      if (dirty_[*it]) continue;
-      dirty_[*it] = 1;
-      buckets_[tape_.combs()[*it].level].push_back(*it);
-      ++pending_;
-    }
-    if (pending_ > stats_.peak_worklist) stats_.peak_worklist = pending_;
-  }
-
   const Netlist& nl_;
-  SettleMode mode_;
   TapeProgram tape_;
-  std::unique_ptr<TapeJit> jit_;    ///< Jit mode on a supported host
-  std::vector<std::size_t> order_;  ///< TreeWalk mode only
+  std::unique_ptr<TapeJit> jit_;  ///< null = interpreter settles
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> stack_;  ///< tape evaluation stack
   std::vector<std::uint64_t> slots_;  ///< tape CSE slots
   std::vector<std::uint64_t> latch_;  ///< persistent two-phase reg scratch
-  std::vector<std::uint8_t> dirty_;   ///< per comb (topo index)
-  std::vector<std::vector<std::uint32_t>> buckets_;  ///< dirty combs per level
-  std::size_t pending_ = 0;
+  bool changed_ = true;  ///< an input or register changed since the last settle
   NetlistStats stats_;
 };
 
@@ -223,8 +141,8 @@ private:
 class RtlModule : public sim::Module {
 public:
   RtlModule(sim::Kernel& k, std::string name, const Netlist& nl,
-            sim::Clock& clk, SettleMode mode = SettleMode::Incremental)
-      : Module(k, std::move(name)), sim_(nl, mode) {
+            sim::Clock& clk)
+      : Module(k, std::move(name)), sim_(nl) {
     auto build = [&](const std::vector<NetId>& nets, std::vector<Pin>& pins,
                      std::unordered_map<std::string, std::size_t>& index) {
       std::vector<NetId> sorted = nets;

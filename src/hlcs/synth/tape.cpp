@@ -210,45 +210,24 @@ TapeProgram TapeProgram::compile(const Netlist& nl) {
   TapeProgram p;
   const std::vector<std::size_t> order = nl.validate_and_order();
   const std::vector<CombAssign>& combs = nl.combs();
-  const std::size_t n_nets = nl.nets().size();
 
   CombCompiler cc(nl.arena(), p.code_);
-  // Topo position of the comb driving each net (or none).
-  std::vector<std::uint32_t> driver(n_nets, ~std::uint32_t{0});
-  std::vector<std::vector<std::uint32_t>> fanout(n_nets);
-
   p.combs_.reserve(combs.size());
   p.sources_off_.reserve(order.size() + 1);
   p.sources_off_.push_back(0);
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const CombAssign& c = combs[order[pos]];
+  for (std::size_t ci : order) {
+    const CombAssign& c = combs[ci];
     TapeComb tc;
     tc.target = c.target;
     tc.begin = static_cast<std::uint32_t>(p.code_.size());
     cc.compile(c.value);
     tc.end = static_cast<std::uint32_t>(p.code_.size());
-    tc.level = 0;
     p.sources_.insert(p.sources_.end(), cc.sources.begin(), cc.sources.end());
     p.sources_off_.push_back(static_cast<std::uint32_t>(p.sources_.size()));
-    for (NetId src : cc.sources) {
-      fanout[src].push_back(static_cast<std::uint32_t>(pos));
-      if (driver[src] != ~std::uint32_t{0}) {
-        tc.level = std::max(tc.level, p.combs_[driver[src]].level + 1);
-      }
-    }
-    driver[c.target] = static_cast<std::uint32_t>(pos);
     p.max_stack_ = std::max(p.max_stack_,
                             static_cast<std::uint32_t>(cc.max_depth));
     p.max_slots_ = std::max(p.max_slots_, cc.n_slots);
-    p.levels_ = std::max(p.levels_, tc.level + 1);
     p.combs_.push_back(tc);
-  }
-
-  p.fanout_off_.reserve(n_nets + 1);
-  p.fanout_off_.push_back(0);
-  for (NetId n = 0; n < n_nets; ++n) {
-    p.fanout_.insert(p.fanout_.end(), fanout[n].begin(), fanout[n].end());
-    p.fanout_off_.push_back(static_cast<std::uint32_t>(p.fanout_.size()));
   }
   return p;
 }

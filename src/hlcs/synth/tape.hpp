@@ -7,10 +7,8 @@
 // hash-consing CSE) are computed once into a scratch slot and re-pushed,
 // so the tape length tracks the DAG size, not the expanded tree size.
 //
-// The program also carries the structures the event-driven simulator
-// needs: per-net fanout lists (which combs read a net) in CSR form, and
-// a topological level per comb so a dirty worklist can be drained in
-// dependency order with plain per-level buckets.
+// The program also records which nets each comb reads, for the batch
+// engine's per-lane scalar fallback.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +50,6 @@ struct TapeComb {
   NetId target;
   std::uint32_t begin;  ///< [begin, end) into TapeProgram::code()
   std::uint32_t end;
-  std::uint32_t level;  ///< 0 = reads only inputs/registers
 };
 
 /// Observability counters for NetlistSim, mirroring sim::KernelStats
@@ -61,12 +58,10 @@ struct NetlistStats {
   std::uint64_t settles = 0;            ///< settle() calls
   std::uint64_t full_settles = 0;       ///< settles that evaluated every comb
   std::uint64_t edges = 0;              ///< clock_edge() calls
-  std::uint64_t combs_evaluated = 0;    ///< comb (re-)evaluations performed
-  std::uint64_t combs_possible = 0;     ///< comb count x settles (full-settle cost)
-  std::uint64_t tape_instructions = 0;  ///< bytecode instructions executed
+  std::uint64_t combs_evaluated = 0;    ///< comb evaluations performed
+  std::uint64_t tape_instructions = 0;  ///< bytecode instructions interpreted
   std::uint64_t input_changes = 0;      ///< set_input calls that changed a value
   std::uint64_t reg_changes = 0;        ///< register latches that changed Q
-  std::uint64_t peak_worklist = 0;      ///< max dirty combs pending at once
 
   friend bool operator==(const NetlistStats&, const NetlistStats&) = default;
 };
@@ -121,8 +116,7 @@ inline std::uint64_t tape_exec(const TapeInsn* ip, const TapeInsn* end,
   return sp[-1];
 }
 
-/// A Netlist compiled once into flat tapes plus the dependency
-/// structures for event-driven settling.  Combs are stored in
+/// A Netlist compiled once into flat tapes.  Combs are stored in
 /// topological evaluation order; "comb index" below always means a
 /// position in that order.
 class TapeProgram {
@@ -131,20 +125,11 @@ public:
 
   const std::vector<TapeInsn>& code() const { return code_; }
   const std::vector<TapeComb>& combs() const { return combs_; }
-  std::uint32_t levels() const { return levels_; }
   std::uint32_t max_stack() const { return max_stack_; }
   std::uint32_t max_slots() const { return max_slots_; }
 
-  /// Comb indices reading net n (each comb listed once).
-  const std::uint32_t* fanout_begin(NetId n) const {
-    return fanout_.data() + fanout_off_[n];
-  }
-  const std::uint32_t* fanout_end(NetId n) const {
-    return fanout_.data() + fanout_off_[n + 1];
-  }
-
-  /// Nets read by comb `ci` (sorted, deduplicated) -- the inverse of the
-  /// fanout lists, used by the batch engine's scalar-fallback gather.
+  /// Nets read by comb `ci` (sorted, deduplicated), used by the batch
+  /// engine's scalar-fallback gather.
   const NetId* sources_begin(std::uint32_t ci) const {
     return sources_.data() + sources_off_[ci];
   }
@@ -161,11 +146,8 @@ public:
 private:
   std::vector<TapeInsn> code_;
   std::vector<TapeComb> combs_;
-  std::vector<std::uint32_t> fanout_off_;  ///< size nets()+1
-  std::vector<std::uint32_t> fanout_;
   std::vector<std::uint32_t> sources_off_;  ///< size combs()+1
   std::vector<NetId> sources_;
-  std::uint32_t levels_ = 0;
   std::uint32_t max_stack_ = 0;
   std::uint32_t max_slots_ = 0;
 };

@@ -1,10 +1,10 @@
 // RTL lowering consistency: randomized traces replayed through the
 // behavioural automaton (one node-order pass over the property arena per
-// edge) and through the lowered netlist in NetlistSim -- in every settle
-// mode -- must give bit-identical attempt/pass/fail/vacuous verdicts on
-// every edge, including random disable pulses that cancel in-flight
-// attempts.  Root-by-root synth::eval of every verdict and next state is
-// the reference oracle both engines are held to.
+// edge) and through the lowered netlist -- in NetlistSim and in the
+// netlist test oracle -- must give bit-identical attempt/pass/fail/
+// vacuous verdicts on every edge, including random disable pulses that
+// cancel in-flight attempts.  Root-by-root synth::eval of every verdict
+// and next state is the reference oracle both engines are held to.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,6 +15,7 @@
 #include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/tape.hpp"
 #include "hlcs/synth/verilog.hpp"
+#include "../synth/netlist_gen.hpp"
 
 namespace hlcs::check {
 namespace {
@@ -107,9 +108,12 @@ std::string oracle_diff(const Automaton& a, const AutomatonEval& ev,
 
 /// Drive the lowered netlist the way NetlistMonitor does: inputs + rst,
 /// settle, read verdicts, clock_edge.
+/// The lowered netlist on `Sim`: synth::NetlistSim, or the test oracle
+/// synth::OracleSim.
+template <class Sim>
 struct NlDriver {
   synth::Netlist nl;
-  synth::NetlistSim sim;
+  Sim sim;
   synth::NetId rst;
   std::vector<synth::NetId> sigs;
   struct Outs {
@@ -117,8 +121,8 @@ struct NlDriver {
   };
   std::vector<Outs> outs;
 
-  NlDriver(const Automaton& a, synth::SettleMode mode)
-      : nl(lower(a)), sim(nl, mode), rst(nl.find("rst")) {
+  explicit NlDriver(const Automaton& a)
+      : nl(lower(a)), sim(nl), rst(nl.find("rst")) {
     for (const SignalDecl& sd : a.signals) sigs.push_back(nl.find(sd.name));
     for (const PropertyAutomaton& p : a.props) {
       outs.push_back(Outs{nl.find(p.name + "_attempt"),
@@ -128,13 +132,16 @@ struct NlDriver {
     }
   }
 
+  /// `resettle` settles once more before reading the verdicts: a settle
+  /// with nothing changed must leave every net as it was.
   void step(const std::vector<std::uint64_t>& samples, bool disabled,
-            std::vector<AutomatonEval::Verdict>& v) {
+            std::vector<AutomatonEval::Verdict>& v, bool resettle = false) {
     for (std::size_t i = 0; i < sigs.size(); ++i) {
       sim.set_input(sigs[i], samples[i]);
     }
     sim.set_input(rst, disabled ? 1 : 0);
     sim.settle();
+    if (resettle) sim.settle();
     v.resize(outs.size());
     for (std::size_t i = 0; i < outs.size(); ++i) {
       v[i] = AutomatonEval::Verdict{sim.get(outs[i].attempt),
@@ -146,11 +153,12 @@ struct NlDriver {
   }
 };
 
-void run_lockstep(const Automaton& a, synth::SettleMode mode,
-                  std::uint64_t seed, int edges) {
+template <class Sim>
+void run_lockstep(const Automaton& a, std::uint64_t seed, int edges,
+                  bool resettle = false) {
   AutomatonEval ev(a);
   RefEval ref(a);
-  NlDriver nld(a, mode);
+  NlDriver<Sim> nld(a);
   sim::Xorshift rng(seed);
   std::vector<std::uint64_t> samples(a.signals.size());
   std::vector<AutomatonEval::Verdict> vb, vn, vr;
@@ -165,22 +173,22 @@ void run_lockstep(const Automaton& a, synth::SettleMode mode,
     const bool disabled = rng.chance(1, 16);
     ev.step(samples, disabled, vb);
     ref.step(samples, disabled, vr);
-    nld.step(samples, disabled, vn);
+    nld.step(samples, disabled, vn, resettle);
     ASSERT_EQ(oracle_diff(a, ev, vb, ref, vr), "")
         << "seed " << seed << " edge " << t;
     ASSERT_EQ(vb.size(), vn.size());
     for (std::size_t i = 0; i < vb.size(); ++i) {
       ASSERT_EQ(vb[i].attempt, vn[i].attempt)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       ASSERT_EQ(vb[i].pass, vn[i].pass)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       ASSERT_EQ(vb[i].fail, vn[i].fail)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       ASSERT_EQ(vb[i].vacuous, vn[i].vacuous)
-          << to_string(mode) << " seed " << seed << " edge " << t << " prop "
+          << "seed " << seed << " edge " << t << " prop "
           << a.props[i].name;
       resolved += vb[i].pass + vb[i].fail;
     }
@@ -190,24 +198,26 @@ void run_lockstep(const Automaton& a, synth::SettleMode mode,
 }
 
 TEST(CheckLowering, LockstepIncremental) {
+  // NetlistSim re-settles only when an input or register changed: an
+  // extra settle before every read must change nothing.
   const Automaton a = compile(kitchen_sink());
-  run_lockstep(a, synth::SettleMode::Incremental, 1, 1500);
+  run_lockstep<synth::NetlistSim>(a, 1, 1500, /*resettle=*/true);
 }
 
 TEST(CheckLowering, LockstepFullTape) {
   const Automaton a = compile(kitchen_sink());
-  run_lockstep(a, synth::SettleMode::FullTape, 2, 1500);
+  run_lockstep<synth::NetlistSim>(a, 2, 1500);
 }
 
 TEST(CheckLowering, LockstepTreeWalk) {
   const Automaton a = compile(kitchen_sink());
-  run_lockstep(a, synth::SettleMode::TreeWalk, 3, 1500);
+  run_lockstep<synth::OracleSim>(a, 3, 1500);
 }
 
 TEST(CheckLowering, LockstepManySeeds) {
   const Automaton a = compile(kitchen_sink());
   for (std::uint64_t seed = 10; seed < 16; ++seed) {
-    run_lockstep(a, synth::SettleMode::Incremental, seed, 400);
+    run_lockstep<synth::NetlistSim>(a, seed, 400);
   }
 }
 
@@ -291,7 +301,7 @@ TEST(CheckLowering, PciPackLockstep) {
       pci_rules(PciRuleOptions{.arbitration = true, .latency_bound = 6}));
   AutomatonEval ev(a);
   RefEval ref(a);
-  NlDriver nld(a, synth::SettleMode::Incremental);
+  NlDriver<synth::NetlistSim> nld(a);
   sim::Xorshift rng(42);
   std::vector<std::uint64_t> samples(a.signals.size());
   std::vector<AutomatonEval::Verdict> vb, vn, vr;
@@ -352,7 +362,7 @@ TEST(CheckLowering, ResetInputRestoresInitialState) {
   E a = s.signal("a");
   s.prop("p", a, s.delay(1, a));
   const Automaton au = compile(s);
-  NlDriver nld(au, synth::SettleMode::Incremental);
+  NlDriver<synth::NetlistSim> nld(au);
   std::vector<AutomatonEval::Verdict> v;
   nld.step({1}, false, v);   // attempt in flight
   nld.step({0}, true, v);    // disable: verdicts zero, state back to init

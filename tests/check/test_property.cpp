@@ -246,8 +246,7 @@ TEST(CheckMonitor, FailureRecordingIsBounded) {
 TEST(CheckMonitor, BehaviouralAndNetlistEnginesAgreeOnKernel) {
   MonitorBench b;
   Monitor bm(b.k, "bm", b.spec, b.clk, b.probes);
-  NetlistMonitor nm(b.k, "nm", b.spec, b.clk, b.probes,
-                    synth::SettleMode::Incremental);
+  NetlistMonitor nm(b.k, "nm", b.spec, b.clk, b.probes);
   sim::Xorshift rng(7);
   b.k.spawn("stim", [&]() -> Task {
     for (;;) {

@@ -85,7 +85,7 @@ struct Bench {
     const check::MonitorOptions mo{.max_recorded_failures = 256};
     beh = std::make_unique<check::Monitor>(k, "beh", spec, clk, probes, mo);
     rtl = std::make_unique<check::NetlistMonitor>(
-        k, "rtl", spec, clk, probes, synth::SettleMode::Incremental, mo);
+        k, "rtl", spec, clk, probes, mo);
   }
 
   PciTransaction run_txn(PciTransaction t, sim::Time limit = 100_us) {

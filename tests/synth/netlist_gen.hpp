@@ -3,6 +3,8 @@
 // exercise slot CSE), the full operator set including word arithmetic
 // (to exercise the batch engine's scalar fallback), and registers
 // feeding back into the logic.
+//
+// OracleSim is the test oracle every netlist engine is checked against.
 #pragma once
 
 #include <string>
@@ -12,6 +14,58 @@
 #include "hlcs/synth/netlist.hpp"
 
 namespace hlcs::synth {
+
+/// The reference semantics of a netlist: every comb evaluated by the
+/// recursive expression interpreter (synth::eval) in topological order,
+/// on every settle, with no compiled tape involved.  Same API as
+/// NetlistSim, so lock-step suites drive both with the same stimulus.
+class OracleSim {
+public:
+  explicit OracleSim(const Netlist& nl)
+      : nl_(nl), order_(nl.validate_and_order()),
+        values_(nl.nets().size(), 0), latch_(nl.regs().size(), 0) {
+    reset_state();
+  }
+
+  void reset_state() {
+    for (const RegDesc& r : nl_.regs()) values_[r.q] = r.init;
+    settle();
+  }
+  void set_input(NetId n, std::uint64_t v) {
+    values_[n] = v & ExprArena::mask(nl_.nets()[n].width);
+  }
+  void set_input(const std::string& name, std::uint64_t v) {
+    set_input(nl_.find(name), v);
+  }
+  std::uint64_t get(NetId n) const { return values_.at(n); }
+  std::uint64_t get(const std::string& name) const {
+    return values_.at(nl_.find(name));
+  }
+
+  void settle() {
+    for (std::size_t ci : order_) {
+      const CombAssign& c = nl_.combs()[ci];
+      values_[c.target] = eval(nl_.arena(), c.value, values_, {});
+    }
+  }
+  void clock_edge() {
+    settle();
+    const std::vector<RegDesc>& regs = nl_.regs();
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      latch_[i] = values_[regs[i].d];
+    }
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      values_[regs[i].q] = latch_[i];
+    }
+    settle();
+  }
+
+private:
+  const Netlist& nl_;
+  std::vector<std::size_t> order_;
+  std::vector<std::uint64_t> values_;
+  std::vector<std::uint64_t> latch_;
+};
 
 struct NetlistGen {
   Netlist nl;

@@ -1,19 +1,18 @@
-// Batch engine: K*64-lane bit-identity against the scalar engine.
+// Batch engine: K*64-lane bit-identity against the scalar engines.
 //
 // The contract under test is absolute: a BatchNetlistSim lane must be
-// indistinguishable, net for net and cycle for cycle, from a scalar
-// NetlistSim driven with the same stimulus -- across random netlists
-// (including word arithmetic, which takes the per-lane scalar
-// fallback), every scalar settle mode, every superlane factor
-// K in {1, 4, 8}, synthesized objects with reset pulses and register
-// feedback, and any BatchRunner thread count.
+// indistinguishable, net for net and cycle for cycle, from the netlist
+// test oracle (and from NetlistSim) driven with the same stimulus --
+// across random netlists (including word arithmetic, which takes the
+// per-lane scalar fallback), every superlane factor K in {1, 4, 8},
+// synthesized objects with reset pulses and register feedback, and any
+// BatchRunner thread count.  At the check_equivalence level, an N-lane
+// check must equal N one-lane replays (equiv_replay.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,32 +21,33 @@
 #include "hlcs/sim/random.hpp"
 #include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/equiv.hpp"
-#include "hlcs/synth/parser.hpp"
-#include "hlcs/synth/poly.hpp"
 #include "hlcs/synth/rtl_sim.hpp"
+#include "equiv_replay.hpp"
 #include "netlist_gen.hpp"
 #include "objects.hpp"
+#include "shipped_objects.hpp"
 
 namespace hlcs::synth {
 namespace {
 
 constexpr std::size_t kLanes = BatchNetlistSim::kLanes;
 
-/// Drive the batch sim (at superlane factor `super`) and one scalar
-/// reference sim per lane with identical per-lane random stimulus and
-/// require bit identity on every net of every lane after every settle
-/// and edge.  This is the lane-for-lane statement: batch lane L at any
-/// K equals the scalar engine seeded for lane L, hence K=8 lane L
-/// equals K=1 lane L.
+/// Drive the batch interpreter (at superlane factor `super`) and one
+/// scalar reference sim per lane (the oracle OracleSim, or NetlistSim)
+/// with identical per-lane random stimulus and require bit identity on
+/// every net of every lane after every settle and edge.  This is the
+/// lane-for-lane statement: batch lane L at any K equals the scalar
+/// reference seeded for lane L, hence K=8 lane L equals K=1 lane L.
+template <class Ref = OracleSim>
 void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
-                          SettleMode ref_mode, unsigned super = 1) {
+                          unsigned super = 1) {
   BatchNetlistSim batch(nl, super);
   const std::size_t lanes = batch.lanes();
-  std::vector<std::unique_ptr<NetlistSim>> refs;
+  std::vector<std::unique_ptr<Ref>> refs;
   std::vector<sim::Xorshift> rngs;
   refs.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    refs.push_back(std::make_unique<NetlistSim>(nl, ref_mode));
+    refs.push_back(std::make_unique<Ref>(nl));
     rngs.emplace_back(sim::lane_seed(seed, lane));
   }
   const std::vector<NetId>& ins = nl.inputs();
@@ -57,8 +57,7 @@ void drive_batch_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         ASSERT_EQ(batch.get(n, lane), refs[lane]->get(n))
             << "net '" << nl.nets()[n].name << "' lane " << lane << " ("
-            << phase << ", edge " << edge << ", ref " << to_string(ref_mode)
-            << ", super " << super << ")";
+            << phase << ", edge " << edge << ", super " << super << ")";
       }
     }
   };
@@ -91,34 +90,26 @@ TEST(BatchSim, RandomNetlistsMatchScalarOnAllLanes) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("netlist seed " + std::to_string(seed));
     Netlist nl = make_random_netlist(seed * 0xB17C0DE + 5);
-    drive_batch_lockstep(nl, seed * 0x51357, 24, SettleMode::Incremental);
+    drive_batch_lockstep(nl, seed * 0x51357, 24);
   }
 }
 
-TEST(BatchSim, AgreesWithEveryScalarSettleMode) {
+TEST(BatchSim, AgreesWithEveryScalarEngine) {
+  // Both scalar engines: the oracle and NetlistSim.
   Netlist nl = make_random_netlist(0xD15EA5E);
-  for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                          SettleMode::TreeWalk}) {
-    SCOPED_TRACE(to_string(mode));
-    drive_batch_lockstep(nl, 0xCAFE, 16, mode);
-  }
+  drive_batch_lockstep<OracleSim>(nl, 0xCAFE, 16);
+  drive_batch_lockstep<NetlistSim>(nl, 0xCAFE, 16);
 }
 
-TEST(BatchSim, SuperlaneSettleModeParityMatrix) {
-  // K x settle-mode matrix over randomized netlists: every lane of a
-  // K=4 / K=8 superlane sim must match its own scalar reference, in
-  // every scalar settle mode.  The generator mixes word arithmetic in,
-  // so the K-wide scalar fallback (gather/exec/scatter over K*64
-  // lanes) is exercised too, not just the row loops.
+TEST(BatchSim, SuperlaneParityMatrix) {
+  // K matrix over randomized netlists: every lane of a K=4 / K=8
+  // superlane sim must match its own oracle.  The generator mixes word
+  // arithmetic in, so the K-wide scalar fallback (gather/exec/scatter
+  // over K*64 lanes) is exercised too, not just the row loops.
   for (unsigned super : {1u, 4u, 8u}) {
     Netlist nl = make_random_netlist(0x5AFE + super);
-    for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                            SettleMode::TreeWalk}) {
-      SCOPED_TRACE("super " + std::to_string(super) + ", " +
-                   to_string(mode));
-      drive_batch_lockstep(nl, 0x9E3779B9 * super, super == 8 ? 6 : 10,
-                           mode, super);
-    }
+    SCOPED_TRACE("super " + std::to_string(super));
+    drive_batch_lockstep(nl, 0x9E3779B9 * super, super == 8 ? 6 : 10, super);
   }
 }
 
@@ -194,37 +185,13 @@ TEST(BatchSim, Width64Boundary) {
   nl.mark_output(r);
   nl.mark_output(cat);
   nl.validate_and_order();
-  drive_batch_lockstep(nl, 0x64646464, 20, SettleMode::Incremental);
-  drive_batch_lockstep(nl, 0x64646464, 10, SettleMode::Incremental, 4);
+  drive_batch_lockstep(nl, 0x64646464, 20);
+  drive_batch_lockstep(nl, 0x64646464, 10, 4);
 }
 
 // ---------------------------------------------------------------------
-// check_equivalence: batch backend vs scalar backend
+// check_equivalence: N-lane checks vs one-lane replays
 // ---------------------------------------------------------------------
-
-void expect_same_result(const EquivResult& a, const EquivResult& b) {
-  EXPECT_EQ(a.equal, b.equal);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.lanes, b.lanes);
-  EXPECT_EQ(a.first_bad_lane, b.first_bad_lane);
-  EXPECT_EQ(a.first_bad_seed, b.first_bad_seed);
-  ASSERT_EQ(a.vectors.size(), b.vectors.size());
-  for (std::size_t i = 0; i < a.vectors.size(); ++i) {
-    const EquivVector& va = a.vectors[i];
-    const EquivVector& vb = b.vectors[i];
-    ASSERT_EQ(va.rst, vb.rst) << "vector " << i;
-    ASSERT_EQ(va.grant, vb.grant) << "vector " << i;
-    ASSERT_EQ(va.ret, vb.ret) << "vector " << i;
-    ASSERT_EQ(va.vars, vb.vars) << "vector " << i;
-    ASSERT_EQ(va.in.size(), vb.in.size()) << "vector " << i;
-    for (std::size_t c = 0; c < va.in.size(); ++c) {
-      ASSERT_EQ(va.in[c].req, vb.in[c].req) << "vector " << i;
-      ASSERT_EQ(va.in[c].sel, vb.in[c].sel) << "vector " << i;
-      ASSERT_EQ(va.in[c].args, vb.in[c].args) << "vector " << i;
-    }
-  }
-}
 
 TEST(BatchEquiv, VerdictsBitIdenticalToScalarBackend) {
   for (int which = 0; which < 4; ++which) {
@@ -237,59 +204,40 @@ TEST(BatchEquiv, VerdictsBitIdenticalToScalarBackend) {
     opt.clients = 3;
     opt.policy = which % 2 == 0 ? osss::PolicyKind::StaticPriority
                                 : osss::PolicyKind::Fifo;
-    EquivOptions scalar{.cycles = 150,
-                        .seed = 0xBA7C4 + static_cast<std::uint64_t>(which),
-                        .reset_percent = 4,
-                        .lanes = 64};
-    EquivOptions batch = scalar;
-    batch.batch = true;
-    const EquivResult rs = check_equivalence(d, opt, scalar);
-    const EquivResult rb = check_equivalence(d, opt, batch);
-    EXPECT_TRUE(rs.equal) << rs.first_mismatch;
+    const EquivResult rb = expect_matches_replays(
+        d, opt,
+        EquivOptions{.cycles = 150,
+                     .seed = 0xBA7C4 + static_cast<std::uint64_t>(which),
+                     .reset_percent = 4,
+                     .lanes = 64});
     EXPECT_TRUE(rb.equal) << rb.first_mismatch;
     EXPECT_GT(rb.grants, 0u);
-    EXPECT_EQ(rb.cycles, 150u * 64u);
-    expect_same_result(rs, rb);
+    EXPECT_GT(rb.batch_stats.settles, 0u) << "64 lanes run on the batch engine";
   }
 }
 
 TEST(BatchEquiv, ShippedObjectsBitIdenticalScalarVsBatch) {
   // The CLI objects under tools/objs/ are the shipped surface of the
-  // flow; the batch backend must reproduce the scalar verdict on each
-  // of them exactly (counters.obj carries several implementations and
-  // goes through the same polymorphic flattening as hlcs_synth).
+  // flow; the batch engine must reproduce the scalar verdict on each of
+  // them exactly (counters.obj carries several implementations and goes
+  // through the same polymorphic flattening as hlcs_synth).
   for (const char* file : {"mailbox.obj", "semaphore.obj", "counters.obj"}) {
     SCOPED_TRACE(file);
-    std::ifstream in(std::string(HLCS_OBJS_DIR) + "/" + file);
-    ASSERT_TRUE(in) << "cannot open shipped object " << file;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::vector<ObjectDesc> parsed = parse_objects(ss.str());
-    ASSERT_FALSE(parsed.empty());
-    ObjectDesc d = [&]() -> ObjectDesc {
-      if (parsed.size() == 1) return std::move(parsed[0]);
-      std::vector<const ObjectDesc*> impls;
-      for (const ObjectDesc& o : parsed) impls.push_back(&o);
-      return make_polymorphic(parsed[0].name() + "_poly", impls, 0);
-    }();
+    const ObjectDesc d = shipped_object(file);
     for (osss::PolicyKind policy :
          {osss::PolicyKind::StaticPriority, osss::PolicyKind::RoundRobin}) {
       SCOPED_TRACE(osss::policy_name(policy));
       SynthOptions opt;
       opt.clients = 3;
       opt.policy = policy;
-      EquivOptions scalar{.cycles = 150,
-                          .seed = 0x0B15C0 + static_cast<std::uint64_t>(policy),
-                          .reset_percent = 4,
-                          .lanes = 64};
-      EquivOptions batch = scalar;
-      batch.batch = true;
-      const EquivResult rs = check_equivalence(d, opt, scalar);
-      const EquivResult rb = check_equivalence(d, opt, batch);
-      EXPECT_TRUE(rs.equal) << rs.first_mismatch;
+      const EquivResult rb = expect_matches_replays(
+          d, opt,
+          EquivOptions{.cycles = 150,
+                       .seed = 0x0B15C0 + static_cast<std::uint64_t>(policy),
+                       .reset_percent = 4,
+                       .lanes = 64});
       EXPECT_TRUE(rb.equal) << rb.first_mismatch;
       EXPECT_GT(rb.grants, 0u);
-      expect_same_result(rs, rb);
     }
   }
 }
@@ -308,124 +256,106 @@ TEST(BatchEquiv, DeterministicAtAnyThreadCount) {
                       .seed = 0x7EAD,
                       .reset_percent = 3,
                       .lanes = 130,
-                      .batch = true,
                       .threads = threads};
     runs.push_back(check_equivalence(d, opt, eopt));
   }
   for (const EquivResult& r : runs) {
     EXPECT_TRUE(r.equal) << r.first_mismatch;
     EXPECT_EQ(r.cycles, 120u * 130u);
+    EXPECT_EQ(r.grants, runs[0].grants);
+    EXPECT_EQ(r.batch_stats, runs[0].batch_stats);
+    expect_same_vectors(r.vectors, runs[0].vectors);
   }
-  expect_same_result(runs[0], runs[1]);
-  expect_same_result(runs[0], runs[2]);
 }
 
 TEST(BatchEquiv, SuperlaneParityMatrixOnShippedObjects) {
-  // Randomized K x thread-count matrix over the shipped .obj surface
-  // (counters.obj goes through polymorphic flattening): every batch
-  // configuration must reproduce the scalar backend's verdict, grants,
-  // vectors and counters exactly, with reset pulses in the stimulus.
+  // The shipped .obj surface at every superlane factor: every lane of
+  // the batch interpreter at K = 1/4/8 matches its own oracle, with
+  // reset pulses through the rst input; and a check whose lane count is
+  // no multiple of a block width equals its one-lane replays at any
+  // thread count.
   sim::Xorshift rng(0x5C277);
   for (const char* file : {"mailbox.obj", "semaphore.obj", "counters.obj"}) {
     SCOPED_TRACE(file);
-    std::ifstream in(std::string(HLCS_OBJS_DIR) + "/" + file);
-    ASSERT_TRUE(in) << "cannot open shipped object " << file;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::vector<ObjectDesc> parsed = parse_objects(ss.str());
-    ASSERT_FALSE(parsed.empty());
-    ObjectDesc d = [&]() -> ObjectDesc {
-      if (parsed.size() == 1) return std::move(parsed[0]);
-      std::vector<const ObjectDesc*> impls;
-      for (const ObjectDesc& o : parsed) impls.push_back(&o);
-      return make_polymorphic(parsed[0].name() + "_poly", impls, 0);
-    }();
+    const ObjectDesc d = shipped_object(file);
     SynthOptions opt;
     opt.clients = 2;
     opt.policy = osss::PolicyKind::RoundRobin;
-    // A lane count that is no multiple of any block width, re-rolled
-    // per object so the matrix drifts across runs of the suite's seeds.
-    const std::size_t lanes = 65 + rng.below(140);
-    EquivOptions scalar{.cycles = 60,
-                        .seed = rng.next(),
-                        .reset_percent = 4,
-                        .lanes = lanes};
-    const EquivResult rs = check_equivalence(d, opt, scalar);
-    EXPECT_TRUE(rs.equal) << rs.first_mismatch;
+    const Netlist nl = synthesize(d, opt);
     for (unsigned super : {1u, 4u, 8u}) {
-      for (unsigned threads : {1u, 3u}) {
-        SCOPED_TRACE("super " + std::to_string(super) + " threads " +
-                     std::to_string(threads) + " lanes " +
-                     std::to_string(lanes));
-        EquivOptions batch = scalar;
-        batch.batch = true;
-        batch.superlanes = super;
-        batch.threads = threads;
-        const EquivResult rb = check_equivalence(d, opt, batch);
-        EXPECT_TRUE(rb.equal) << rb.first_mismatch;
-        expect_same_result(rs, rb);
-        EXPECT_GT(rb.batch_stats.combs_evaluated, 0u);
-        EXPECT_DOUBLE_EQ(rb.batch_scalar_fraction,
-                         rb.batch_stats.scalar_fraction());
-      }
+      SCOPED_TRACE("super " + std::to_string(super));
+      drive_batch_lockstep(nl, rng.next(), super == 8 ? 6 : 12, super);
+    }
+    // Re-rolled per object so the matrix drifts across the suite's
+    // seeds.
+    const std::size_t lanes = 65 + rng.below(140);
+    const std::uint64_t seed = rng.next();
+    for (unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " lanes " +
+                   std::to_string(lanes));
+      const EquivResult rb = expect_matches_replays(
+          d, opt, nl,
+          EquivOptions{.cycles = 60,
+                       .seed = seed,
+                       .reset_percent = 4,
+                       .lanes = lanes,
+                       .threads = threads});
+      EXPECT_TRUE(rb.equal) << rb.first_mismatch;
+      EXPECT_GT(rb.batch_stats.combs_evaluated, 0u);
     }
   }
 }
 
 TEST(BatchEquiv, SuperlaneVerdictsIdenticalToK1UnderTheSameSeed) {
-  // The K determinism statement at the service level: with one root
-  // seed, K=8 produces the same verdict, grant totals, recorded
-  // vectors and failure attribution as K=1 -- lane L's stimulus stream
-  // is a function of lane_seed(seed, L) only, never of the block shape
-  // it ran in.  (Per-lane net values are covered lane-for-lane by
-  // BatchSim.SuperlaneSettleModeParityMatrix against the scalar sim.)
+  // The block-shape determinism statement at the service level: lane
+  // L's stimulus stream is a function of lane_seed(seed, L) only, never
+  // of the block it ran in.  A 512-lane check therefore equals eight
+  // 64-lane checks rooted at lane_root(seed, 64 * b): same verdict,
+  // grant totals and recorded vectors.  (Per-lane net values at
+  // K = 4/8 are covered lane-for-lane by
+  // BatchSim.SuperlaneParityMatrix against the oracle.)
   const ObjectDesc d = testobj::mailbox();
   SynthOptions opt;
   opt.clients = 3;
   opt.policy = osss::PolicyKind::StaticPriority;
-  std::vector<EquivResult> by_super;
-  for (unsigned super : {1u, 8u}) {
-    EquivOptions eopt{.cycles = 100,
-                      .seed = 0xD0D0,
-                      .reset_percent = 3,
-                      .lanes = 512,
-                      .batch = true,
-                      .superlanes = super};
-    by_super.push_back(check_equivalence(d, opt, eopt));
-  }
-  for (const EquivResult& r : by_super) {
+  const EquivOptions eopt{.cycles = 100,
+                          .seed = 0xD0D0,
+                          .reset_percent = 3,
+                          .lanes = 512};
+  const EquivResult whole = check_equivalence(d, opt, eopt);
+  EXPECT_TRUE(whole.equal) << whole.first_mismatch;
+  EXPECT_EQ(whole.cycles, 100u * 512u);
+  EXPECT_GT(whole.batch_stats.settles, 0u);
+  std::size_t grants = 0;
+  for (std::size_t b = 0; b < 8; ++b) {
+    EquivOptions part = eopt;
+    part.seed = sim::lane_root(eopt.seed, 64 * b);
+    part.lanes = 64;
+    const EquivResult r = check_equivalence(d, opt, part);
     EXPECT_TRUE(r.equal) << r.first_mismatch;
-    EXPECT_EQ(r.cycles, 100u * 512u);
-    EXPECT_GT(r.batch_stats.fused_ops, 0u);
+    grants += r.grants;
+    if (b == 0) expect_same_vectors(whole.vectors, r.vectors);
   }
-  expect_same_result(by_super[0], by_super[1]);
+  EXPECT_EQ(whole.grants, grants);
 }
 
 TEST(BatchEquiv, ScalarMultiLaneMatchesBatchAndSingleLaneReplay) {
+  // Below 64 lanes the scalar engine runs the lanes one after another;
+  // from 64 lanes the batch engine runs them together.  Both must equal
+  // their one-lane replays.
   const ObjectDesc d = testobj::counter();
   SynthOptions opt;
   opt.clients = 2;
   opt.policy = osss::PolicyKind::StaticPriority;
-  EquivOptions multi{.cycles = 100, .seed = 0x1DEA, .lanes = 5};
-  const EquivResult rm = check_equivalence(d, opt, multi);
+  const EquivResult rm = expect_matches_replays(
+      d, opt, EquivOptions{.cycles = 100, .seed = 0x1DEA, .lanes = 5});
   EXPECT_TRUE(rm.equal) << rm.first_mismatch;
-  EXPECT_EQ(rm.cycles, 500u);
-
-  // The recorded vectors are lane 0's stream, which a plain single-lane
-  // run with the same root seed reproduces exactly.
-  EquivOptions one{.cycles = 100, .seed = 0x1DEA};
-  const EquivResult r1 = check_equivalence(d, opt, one);
-  ASSERT_EQ(r1.vectors.size(), rm.vectors.size());
-  for (std::size_t i = 0; i < r1.vectors.size(); ++i) {
-    ASSERT_EQ(r1.vectors[i].rst, rm.vectors[i].rst) << "vector " << i;
-    ASSERT_EQ(r1.vectors[i].grant, rm.vectors[i].grant) << "vector " << i;
-    ASSERT_EQ(r1.vectors[i].vars, rm.vectors[i].vars) << "vector " << i;
-  }
-
-  EquivOptions batch = multi;
-  batch.batch = true;
-  const EquivResult rb = check_equivalence(d, opt, batch);
-  expect_same_result(rm, rb);
+  EXPECT_EQ(rm.batch_stats.settles, 0u) << "5 lanes run on the scalar engine";
+  const EquivResult rb = expect_matches_replays(
+      d, opt, EquivOptions{.cycles = 100, .seed = 0x1DEA, .lanes = 64});
+  EXPECT_TRUE(rb.equal) << rb.first_mismatch;
+  // Lane 0 of both runs is the same stream.
+  expect_same_vectors(rm.vectors, rb.vectors);
 }
 
 // ---------------------------------------------------------------------
@@ -513,8 +443,13 @@ TEST(BatchRunner, PropagatesTheLowestBlockError) {
 
 TEST(LaneSeeds, StableAndDistinct) {
   // The derivation is part of the reproducibility contract: a logged
-  // lane seed from an old failure must mean the same stream forever.
+  // lane seed from an old failure must mean the same stream forever,
+  // and a logged lane root must replay that lane as lane 0.
   EXPECT_EQ(sim::lane_seed(0, 0), sim::splitmix64(0));
+  for (std::uint64_t lane : {0u, 1u, 63u, 64u, 511u}) {
+    EXPECT_EQ(sim::lane_seed(sim::lane_root(0xEC1, lane), 0),
+              sim::lane_seed(0xEC1, lane));
+  }
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t lane = 0; lane < 128; ++lane) {
     seeds.push_back(sim::lane_seed(0xEC1, lane));

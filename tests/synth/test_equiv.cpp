@@ -1,7 +1,6 @@
 // The equivalence-check service and Verilog testbench emission.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,26 +8,13 @@
 #include "hlcs/sim/random.hpp"
 #include "hlcs/synth/equiv.hpp"
 #include "hlcs/synth/optimize.hpp"
-#include "hlcs/synth/parser.hpp"
 #include "hlcs/synth/poly.hpp"
+#include "equiv_replay.hpp"
 #include "objects.hpp"
+#include "shipped_objects.hpp"
 
 namespace hlcs::synth {
 namespace {
-
-/// A shipped CLI object, flattened to a polymorphic object when the file
-/// holds several implementations (as hlcs_synth does).
-ObjectDesc shipped_object(const std::string& file) {
-  std::ifstream in(std::string(HLCS_OBJS_DIR) + "/" + file);
-  if (!in) fail("cannot open shipped object " + file);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::vector<ObjectDesc> parsed = parse_objects(ss.str());
-  if (parsed.size() == 1) return std::move(parsed[0]);
-  std::vector<const ObjectDesc*> impls;
-  for (const ObjectDesc& o : parsed) impls.push_back(&o);
-  return make_polymorphic(parsed[0].name() + "_poly", impls, 0);
-}
 
 /// A copy of `nl` whose comb driving net `target` is complemented.
 Netlist with_inverted_comb(const Netlist& nl, const std::string& target) {
@@ -177,19 +163,53 @@ TEST(Equivalence, MutatedCombFailsNamingLaneAndSeed) {
   SynthOptions opt;
   opt.clients = 2;
   const Netlist good = synthesize(d, opt);
-  const EquivOptions eopt{.cycles = 200, .seed = 0x5EED, .lanes = 3};
-  ASSERT_TRUE(check_equivalence(d, opt, good, eopt));
-
   const Netlist bad = with_inverted_comb(good, grant_port(1));
-  const EquivResult r = check_equivalence(d, opt, bad, eopt);
-  ASSERT_FALSE(r.equal);
-  EXPECT_EQ(r.first_bad_lane, 0u);
-  EXPECT_EQ(r.first_bad_seed, sim::lane_seed(eopt.seed, 0));
-  std::ostringstream prefix;
-  prefix << "lane 0 (seed 0x" << std::hex << r.first_bad_seed << "): ";
-  EXPECT_EQ(r.first_mismatch.rfind(prefix.str(), 0), 0u) << r.first_mismatch;
-  EXPECT_NE(r.first_mismatch.find("grant"), std::string::npos)
-      << r.first_mismatch;
+  // 3 lanes run on the scalar engine, 64 on the batch engine.
+  for (std::size_t lanes : {std::size_t{3}, std::size_t{64}}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    const EquivOptions eopt{.cycles = 200, .seed = 0x5EED, .lanes = lanes};
+    ASSERT_TRUE(check_equivalence(d, opt, good, eopt));
+
+    const EquivResult r = check_equivalence(d, opt, bad, eopt);
+    ASSERT_FALSE(r.equal);
+    EXPECT_EQ(r.first_bad_seed, sim::lane_root(eopt.seed, r.first_bad_lane));
+    std::ostringstream prefix;
+    prefix << "lane " << r.first_bad_lane << " (seed 0x" << std::hex
+           << r.first_bad_seed << "): ";
+    EXPECT_EQ(r.first_mismatch.rfind(prefix.str(), 0), 0u)
+        << r.first_mismatch;
+    EXPECT_NE(r.first_mismatch.find("grant"), std::string::npos)
+        << r.first_mismatch;
+
+    // The reported seed replays the failing lane standalone: a one-lane
+    // run rooted there fails the same way, on the same vectors.
+    const EquivResult replay = check_equivalence(
+        d, opt, bad,
+        EquivOptions{.cycles = 200, .seed = r.first_bad_seed, .lanes = 1});
+    ASSERT_FALSE(replay.equal);
+    EXPECT_EQ(mismatch_body(replay.first_mismatch),
+              mismatch_body(r.first_mismatch));
+    expect_same_vectors(replay.vectors, r.vectors);
+  }
+}
+
+TEST(Equivalence, FailingLaneReplaysFromItsReportedSeed) {
+  // Short checks of a subtle defect (client 2's return value inverted,
+  // seen only when client 2 gets a method with a return value), so the
+  // first failing lane is often not lane 0: every reported seed must
+  // still replay its lane standalone.
+  const ObjectDesc d = testobj::mailbox();
+  const SynthOptions opt{.clients = 3,
+                         .policy = osss::PolicyKind::RoundRobin};
+  const Netlist bad = with_inverted_comb(synthesize(d, opt), ret_port(2));
+  std::size_t later_lanes = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const EquivResult r = expect_matches_replays(
+        d, opt, bad, EquivOptions{.cycles = 6, .seed = seed, .lanes = 64});
+    if (!r.equal && r.first_bad_lane > 0) ++later_lanes;
+  }
+  EXPECT_GT(later_lanes, 0u) << "no run failed first on a lane other than 0";
 }
 
 TEST(VerilogTestbench, EmitsSelfCheckingBench) {

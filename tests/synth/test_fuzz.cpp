@@ -8,6 +8,7 @@
 
 #include "hlcs/sim/random.hpp"
 #include "hlcs/synth/equiv.hpp"
+#include "equiv_replay.hpp"
 
 namespace hlcs::synth {
 namespace {
@@ -138,15 +139,13 @@ TEST_P(SynthFuzz, RandomObjectSurvivesFullFlow) {
   ASSERT_NO_THROW(d.validate()) << "generator produced invalid object";
   for (auto policy : {osss::PolicyKind::StaticPriority,
                       osss::PolicyKind::Fifo, osss::PolicyKind::Adaptive}) {
-    // Four independently seeded stimulus lanes on the batch engine: 4x
-    // the coverage per seed, and fuzz objects are arithmetic-heavy so
-    // this also soaks the scalar-fallback path.  A failure names the
-    // lane's derived seed -- reproducible standalone by feeding it back
-    // as the root seed of a single-lane run.
+    // Four independently seeded stimulus lanes: 4x the coverage per
+    // seed.  A failure names the failing lane's root seed -- replayed
+    // standalone by feeding it back as the seed of a single-lane run.
     EquivResult r = check_equivalence(
         d, SynthOptions{.clients = 2, .policy = policy},
         EquivOptions{.cycles = 300, .seed = seed ^ 0xF00D,
-                     .reset_percent = 3, .lanes = 4, .batch = true});
+                     .reset_percent = 3, .lanes = 4});
     EXPECT_TRUE(r) << "seed " << seed << " policy "
                    << osss::policy_name(policy) << ": " << r.first_mismatch
                    << " [replay: seed 0x" << std::hex << r.first_bad_seed
@@ -158,23 +157,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SynthFuzz,
                          ::testing::Range<std::uint64_t>(1, 26));
 
 TEST(SynthFuzzBatch, BatchAndScalarBackendsAgreeOnFuzzObjects) {
-  // Same objects, both backends, full-result identity: the batch
-  // engine's scalar fallback (Add/Sub/Mul/compare combs) must not leak
-  // any difference into verdicts, grants or recorded vectors.
+  // Same objects, both engines, full-result identity: a 64-lane check
+  // on the batch engine against its one-lane replays on the scalar
+  // engine.  Fuzz objects are arithmetic-heavy, so the batch engine's
+  // scalar fallback (Add/Sub/Mul/compare combs) must not leak any
+  // difference into verdicts, grants or recorded vectors.
   for (std::uint64_t seed : {3u, 11u, 19u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     ObjectDesc d = random_object(seed);
     const SynthOptions opt{.clients = 2, .policy = osss::PolicyKind::Fifo};
-    EquivOptions scalar{.cycles = 200, .seed = seed * 0xABC, .reset_percent = 3,
-                        .lanes = 8};
-    EquivOptions batch = scalar;
-    batch.batch = true;
-    const EquivResult rs = check_equivalence(d, opt, scalar);
-    const EquivResult rb = check_equivalence(d, opt, batch);
-    EXPECT_EQ(rs.equal, rb.equal) << "seed " << seed;
-    EXPECT_EQ(rs.grants, rb.grants) << "seed " << seed;
-    EXPECT_EQ(rs.cycles, rb.cycles) << "seed " << seed;
-    EXPECT_EQ(rs.first_mismatch, rb.first_mismatch) << "seed " << seed;
-    EXPECT_EQ(rs.vectors.size(), rb.vectors.size()) << "seed " << seed;
+    expect_matches_replays(d, opt,
+                           EquivOptions{.cycles = 200,
+                                        .seed = seed * 0xABC,
+                                        .reset_percent = 3,
+                                        .lanes = 64});
   }
 }
 

@@ -2,19 +2,17 @@
 //
 // The contract is the same absolute one the batch engine carries: a
 // simulation whose combs run as native code must be indistinguishable,
-// net for net and cycle for cycle, from the interpreted tape -- across
-// random netlists (including Mul and data-dependent shifts, which deopt
-// per comb), every scalar settle mode, every superlane factor
-// K in {1, 4, 8}, the shipped CLI objects, the lowered monitor
-// automata, reset pulses, and any worker thread count.  On hosts where
-// host_supported() is false (non-x86-64, or HLCS_JIT=OFF builds) the
-// JIT request is a silent no-op and these suites degenerate into
-// interpreter-vs-interpreter checks that must still pass.
+// net for net and cycle for cycle, from the netlist test oracle and the
+// interpreted tape -- across random netlists (including Mul and
+// data-dependent shifts, which deopt per comb), the shipped CLI
+// objects, the lowered monitor automata, reset pulses, and any worker
+// thread count.  On hosts where host_supported() is false (non-x86-64,
+// or HLCS_JIT=OFF builds) NetlistSim and the batch JIT request fall
+// back to the interpreter and these suites check it against the same
+// references.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,26 +23,25 @@
 #include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/equiv.hpp"
 #include "hlcs/synth/jit.hpp"
-#include "hlcs/synth/parser.hpp"
-#include "hlcs/synth/poly.hpp"
 #include "hlcs/synth/rtl_sim.hpp"
+#include "equiv_replay.hpp"
 #include "netlist_gen.hpp"
 #include "objects.hpp"
+#include "shipped_objects.hpp"
 
 namespace hlcs::synth {
 namespace {
 
 // ---------------------------------------------------------------------
-// Scalar JIT vs the interpreted settle modes
+// Scalar JIT (NetlistSim) vs the oracle
 // ---------------------------------------------------------------------
 
-/// Drive a SettleMode::Jit sim and an interpreted reference in lock
-/// step with identical stimulus and require bit identity on every net
-/// after every settle and edge.
-void drive_scalar_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
-                           SettleMode ref_mode) {
-  NetlistSim jit(nl, SettleMode::Jit);
-  NetlistSim ref(nl, ref_mode);
+/// Drive a NetlistSim (native where the host supports it) and the
+/// oracle in lock step with identical stimulus and require bit identity
+/// on every net after every settle and edge.
+void drive_scalar_lockstep(const Netlist& nl, std::uint64_t seed, int edges) {
+  NetlistSim jit(nl);
+  OracleSim ref(nl);
   sim::Xorshift rng(seed);
   const std::vector<NetId>& ins = nl.inputs();
 
@@ -52,7 +49,7 @@ void drive_scalar_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
     for (NetId n = 0; n < nl.nets().size(); ++n) {
       ASSERT_EQ(jit.get(n), ref.get(n))
           << "net '" << nl.nets()[n].name << "' (" << phase << ", edge "
-          << edge << ", ref " << to_string(ref_mode) << ")";
+          << edge << ")";
     }
   };
 
@@ -75,15 +72,11 @@ void drive_scalar_lockstep(const Netlist& nl, std::uint64_t seed, int edges,
   }
 }
 
-TEST(TapeJitScalar, RandomNetlistsMatchEverySettleMode) {
+TEST(TapeJitScalar, RandomNetlistsMatchTheOracle) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("netlist seed " + std::to_string(seed));
     Netlist nl = make_random_netlist(seed * 0x117C0DE + 3);
-    for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape,
-                            SettleMode::TreeWalk}) {
-      SCOPED_TRACE(to_string(mode));
-      drive_scalar_lockstep(nl, seed * 0x2F00D, 24, mode);
-    }
+    drive_scalar_lockstep(nl, seed * 0x2F00D, 72);
   }
 }
 
@@ -94,8 +87,8 @@ TEST(TapeJitScalar, RegistersResetAndLatchIdentically) {
   SynthOptions opt;
   opt.clients = 3;
   const Netlist nl = synthesize(d, opt);
-  NetlistSim jit(nl, SettleMode::Jit);
-  NetlistSim ref(nl, SettleMode::FullTape);
+  NetlistSim jit(nl);
+  OracleSim ref(nl);
   for (NetId n = 0; n < nl.nets().size(); ++n) {
     ASSERT_EQ(jit.get(n), ref.get(n)) << "after construction, net " << n;
   }
@@ -104,7 +97,7 @@ TEST(TapeJitScalar, RegistersResetAndLatchIdentically) {
   for (NetId n = 0; n < nl.nets().size(); ++n) {
     ASSERT_EQ(jit.get(n), ref.get(n)) << "after reset_state, net " << n;
   }
-  drive_scalar_lockstep(nl, 0xC0117E4, 40, SettleMode::Incremental);
+  drive_scalar_lockstep(nl, 0xC0117E4, 40);
 }
 
 TEST(TapeJitScalar, StatsReportCompilationAndDeopts) {
@@ -115,7 +108,7 @@ TEST(TapeJitScalar, StatsReportCompilationAndDeopts) {
   bool saw_deopt = false, saw_native = false;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Netlist nl = make_random_netlist(seed * 0xDE0B7 + 1);
-    NetlistSim sim(nl, SettleMode::Jit);
+    NetlistSim sim(nl);
     const JitStats* js = sim.jit_stats();
     if (js == nullptr) continue;  // nothing compilable in this netlist
     EXPECT_TRUE(js->enabled);
@@ -163,12 +156,12 @@ TEST(TapeJitScalar, CrossPageEmissionStaysBitIdentical) {
   }
   g.nl.validate_and_order();
   if (TapeJit::host_supported()) {
-    NetlistSim sim(g.nl, SettleMode::Jit);
+    NetlistSim sim(g.nl);
     const JitStats* js = sim.jit_stats();
     ASSERT_NE(js, nullptr);
     EXPECT_GT(js->code_bytes, 2u * 4096u) << "netlist too small to span pages";
   }
-  drive_scalar_lockstep(g.nl, 0x9A6E5, 8, SettleMode::FullTape);
+  drive_scalar_lockstep(g.nl, 0x9A6E5, 8);
 }
 
 TEST(TapeJitScalar, WriteXorExecuteRoundTrip) {
@@ -196,34 +189,52 @@ TEST(TapeJitScalar, WriteXorExecuteRoundTrip) {
 }
 
 TEST(TapeJitScalar, RtlModuleRunsInJitMode) {
-  // The kernel-integration wrapper accepts a settle mode; a JIT-backed
-  // module and a default module must publish identical pin values.
+  // The kernel-integration wrapper settles through the same NetlistSim:
+  // native where the host supports it, and publishing the oracle's
+  // values on every edge.
   const ObjectDesc d = testobj::mailbox();
   SynthOptions opt;
   opt.clients = 2;
   const Netlist nl = synthesize(d, opt);
-  drive_scalar_lockstep(nl, 0x4E7115, 32, SettleMode::Incremental);
-  NetlistSim jit_sim(nl, SettleMode::Jit);
-  EXPECT_EQ(jit_sim.mode(), SettleMode::Jit);
+  drive_scalar_lockstep(nl, 0x4E7115, 32);
+
+  sim::Kernel k;
+  sim::Clock clk(k, "clk", sim::Time::ns(10));
+  RtlModule m(k, "dut", nl, clk);
+  EXPECT_EQ(m.netlist_sim().jit_stats() != nullptr, TapeJit::host_supported());
+  OracleSim ref(nl);
+  sim::Xorshift rng(0x4E7116);
+  for (int e = 0; e < 24; ++e) {
+    for (const std::string& pin : m.input_pins()) {
+      const std::uint64_t v = rng.next();
+      m.in(pin).write(v);
+      ref.set_input(pin, v);
+    }
+    k.run_for(sim::Time::ns(10));
+    ref.clock_edge();
+    for (const std::string& pin : m.output_pins()) {
+      ASSERT_EQ(m.out(pin).read(), ref.get(pin)) << pin << " edge " << e;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
 // Batch JIT vs the batch interpreter and the scalar engine
 // ---------------------------------------------------------------------
 
-/// Drive a JIT-backed batch sim, an interpreted batch sim, and one
-/// scalar reference per lane with identical stimulus; require
-/// three-way bit identity on every net of every lane.
+/// Drive a JIT-backed batch sim (the interpreter at K > 1), an
+/// interpreted batch sim, and one oracle per lane with identical
+/// stimulus; require three-way bit identity on every net of every lane.
 void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
                               int edges, unsigned super) {
   BatchNetlistSim jit(nl, super, /*jit=*/true);
   BatchNetlistSim interp(nl, super, /*jit=*/false);
   const std::size_t lanes = jit.lanes();
-  std::vector<std::unique_ptr<NetlistSim>> refs;
+  std::vector<std::unique_ptr<OracleSim>> refs;
   std::vector<sim::Xorshift> rngs;
   refs.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    refs.push_back(std::make_unique<NetlistSim>(nl, SettleMode::FullTape));
+    refs.push_back(std::make_unique<OracleSim>(nl));
     rngs.emplace_back(sim::lane_seed(seed, lane));
   }
   const std::vector<NetId>& ins = nl.inputs();
@@ -236,7 +247,7 @@ void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
             << lane << " (" << phase << ", edge " << edge << ", super "
             << super << ")";
         ASSERT_EQ(jit.get(n, lane), refs[lane]->get(n))
-            << "jit vs scalar: net '" << nl.nets()[n].name << "' lane "
+            << "jit vs oracle: net '" << nl.nets()[n].name << "' lane "
             << lane << " (" << phase << ", edge " << edge << ", super "
             << super << ")";
       }
@@ -269,6 +280,8 @@ void drive_batch_jit_lockstep(const Netlist& nl, std::uint64_t seed,
 }
 
 TEST(TapeJitBatch, SuperlaneParityMatrixOnRandomNetlists) {
+  // The JIT runs at K = 1 only; at K = 4/8 the request falls back to the
+  // interpreter, which must then match the oracle on its own.
   for (unsigned super : {1u, 4u, 8u}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE("super " + std::to_string(super) + " seed " +
@@ -332,10 +345,7 @@ TEST(TapeJitMonitor, LoweredPropertyPacksBitIdentical) {
     SCOPED_TRACE(pack == 0 ? "pci" : "shared_object");
     const check::Automaton a = check::compile(spec);
     const Netlist nl = check::lower(a);
-    for (SettleMode mode : {SettleMode::Incremental, SettleMode::FullTape}) {
-      SCOPED_TRACE(to_string(mode));
-      drive_scalar_lockstep(nl, 0x1107 + pack, 48, mode);
-    }
+    drive_scalar_lockstep(nl, 0x1107 + pack, 96);
     drive_batch_jit_lockstep(nl, 0x2207 + pack, 6, 1);
   }
 }
@@ -344,69 +354,28 @@ TEST(TapeJitMonitor, LoweredPropertyPacksBitIdentical) {
 // check_equivalence with the JIT backend
 // ---------------------------------------------------------------------
 
-void expect_same_result(const EquivResult& a, const EquivResult& b) {
-  EXPECT_EQ(a.equal, b.equal);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.lanes, b.lanes);
-  EXPECT_EQ(a.first_bad_lane, b.first_bad_lane);
-  EXPECT_EQ(a.first_bad_seed, b.first_bad_seed);
-  ASSERT_EQ(a.vectors.size(), b.vectors.size());
-  for (std::size_t i = 0; i < a.vectors.size(); ++i) {
-    const EquivVector& va = a.vectors[i];
-    const EquivVector& vb = b.vectors[i];
-    ASSERT_EQ(va.rst, vb.rst) << "vector " << i;
-    ASSERT_EQ(va.grant, vb.grant) << "vector " << i;
-    ASSERT_EQ(va.ret, vb.ret) << "vector " << i;
-    ASSERT_EQ(va.vars, vb.vars) << "vector " << i;
-  }
-}
-
 TEST(TapeJitEquiv, ShippedObjectsVerdictsBitIdentical) {
-  // The shipped .obj surface: scalar backend, batch interpreter and
-  // batch JIT must produce identical verdicts, grants and vectors,
-  // with reset pulses in the stimulus.
+  // The shipped .obj surface: a 64-lane check (the batch engine, on the
+  // JIT where the host has one) must produce the verdicts, grants and
+  // vectors of its 64 one-lane replays on the scalar engine, with reset
+  // pulses in the stimulus.
   for (const char* file : {"mailbox.obj", "semaphore.obj", "counters.obj"}) {
     SCOPED_TRACE(file);
-    std::ifstream in(std::string(HLCS_OBJS_DIR) + "/" + file);
-    ASSERT_TRUE(in) << "cannot open shipped object " << file;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::vector<ObjectDesc> parsed = parse_objects(ss.str());
-    ASSERT_FALSE(parsed.empty());
-    ObjectDesc d = [&]() -> ObjectDesc {
-      if (parsed.size() == 1) return std::move(parsed[0]);
-      std::vector<const ObjectDesc*> impls;
-      for (const ObjectDesc& o : parsed) impls.push_back(&o);
-      return make_polymorphic(parsed[0].name() + "_poly", impls, 0);
-    }();
+    const ObjectDesc d = shipped_object(file);
     SynthOptions opt;
     opt.clients = 3;
     opt.policy = osss::PolicyKind::RoundRobin;
-    EquivOptions scalar{.cycles = 120,
-                        .seed = 0x71D,
-                        .reset_percent = 4,
-                        .lanes = 64};
-    const EquivResult rs = check_equivalence(d, opt, scalar);
-    EXPECT_TRUE(rs.equal) << rs.first_mismatch;
-    for (unsigned super : {1u, 8u}) {
-      SCOPED_TRACE("super " + std::to_string(super));
-      EquivOptions interp = scalar;
-      interp.batch = true;
-      interp.superlanes = super;
-      EquivOptions jit = interp;
-      jit.jit = true;
-      const EquivResult ri = check_equivalence(d, opt, interp);
-      const EquivResult rj = check_equivalence(d, opt, jit);
-      EXPECT_TRUE(ri.equal) << ri.first_mismatch;
-      EXPECT_TRUE(rj.equal) << rj.first_mismatch;
-      expect_same_result(rs, ri);
-      expect_same_result(rs, rj);
-      EXPECT_EQ(rj.jit_stats.enabled, BatchJit::host_supported());
-      if (rj.jit_stats.enabled) {
-        EXPECT_GT(rj.jit_stats.native_calls, 0u);
-        EXPECT_GT(rj.jit_stats.code_bytes, 0u);
-      }
+    const EquivResult rj = expect_matches_replays(
+        d, opt,
+        EquivOptions{.cycles = 120,
+                     .seed = 0x71D,
+                     .reset_percent = 4,
+                     .lanes = 64});
+    EXPECT_TRUE(rj.equal) << rj.first_mismatch;
+    EXPECT_EQ(rj.jit_stats.enabled, BatchJit::host_supported());
+    if (rj.jit_stats.enabled) {
+      EXPECT_GT(rj.jit_stats.native_calls, 0u);
+      EXPECT_GT(rj.jit_stats.code_bytes, 0u);
     }
   }
 }
@@ -425,17 +394,15 @@ TEST(TapeJitEquiv, DeterministicAtAnyThreadCount) {
                       .seed = 0x7EAD1,
                       .reset_percent = 3,
                       .lanes = 130,
-                      .batch = true,
-                      .threads = threads,
-                      .jit = true};
+                      .threads = threads};
     runs.push_back(check_equivalence(d, opt, eopt));
   }
   for (const EquivResult& r : runs) {
     EXPECT_TRUE(r.equal) << r.first_mismatch;
     EXPECT_EQ(r.cycles, 100u * 130u);
+    EXPECT_EQ(r.grants, runs[0].grants);
+    expect_same_vectors(r.vectors, runs[0].vectors);
   }
-  expect_same_result(runs[0], runs[1]);
-  expect_same_result(runs[0], runs[2]);
   // JIT compile counters accumulate per block, independent of threads.
   EXPECT_EQ(runs[0].jit_stats.combs_native, runs[1].jit_stats.combs_native);
   EXPECT_EQ(runs[0].jit_stats.combs_deopt, runs[2].jit_stats.combs_deopt);

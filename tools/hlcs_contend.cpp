@@ -26,6 +26,7 @@
 #include "hlcs/contend/contend.hpp"
 #include "hlcs/osss/osss.hpp"
 #include "hlcs/sim/sim.hpp"
+#include "cli_number.hpp"
 
 namespace {
 
@@ -102,14 +103,13 @@ int main(int argc, char** argv) {
       } else if (a == "--policy") {
         cell.policy = osss::parse_policy(next("name"));
       } else if (a == "--clients") {
-        cell.clients =
-            static_cast<std::size_t>(std::stoul(next("count")));
+        cell.clients = cli::parse_number<std::size_t>(a, next("count"));
       } else if (a == "--traffic") {
         cell.traffic = contend::parse_traffic(next("name"));
       } else if (a == "--cycles") {
-        cell.cycles = std::stoull(next("count"));
+        cell.cycles = cli::parse_number(a, next("count"));
       } else if (a == "--threads") {
-        threads = static_cast<unsigned>(std::stoul(next("count")));
+        threads = cli::parse_number<unsigned>(a, next("count"));
       } else if (a == "-o") {
         out_path = next("file");
       } else {

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "hlcs/fabric/fabric.hpp"
+#include "cli_number.hpp"
 
 using namespace hlcs;
 
@@ -72,28 +73,27 @@ bool parse(int argc, char** argv, Args& a) {
         return false;
       }
     } else if (opt == "--segments") {
-      a.cfg.segments = std::strtoull(value(), nullptr, 0);
+      a.cfg.segments = cli::parse_number(opt, value());
     } else if (opt == "--masters") {
-      a.cfg.masters = std::strtoull(value(), nullptr, 0);
+      a.cfg.masters = cli::parse_number(opt, value());
     } else if (opt == "--targets") {
-      a.cfg.targets = std::strtoull(value(), nullptr, 0);
+      a.cfg.targets = cli::parse_number(opt, value());
     } else if (opt == "--shards") {
-      a.cfg.shards = std::strtoull(value(), nullptr, 0);
+      a.cfg.shards = cli::parse_number(opt, value());
     } else if (opt == "--threads") {
-      a.cfg.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 0));
+      a.cfg.threads = cli::parse_number<unsigned>(opt, value());
     } else if (opt == "--ops") {
-      a.cfg.app_ops = std::strtoull(value(), nullptr, 0);
+      a.cfg.app_ops = cli::parse_number(opt, value());
     } else if (opt == "--blocks") {
-      a.cfg.blocks = std::strtoull(value(), nullptr, 0);
+      a.cfg.blocks = cli::parse_number(opt, value());
     } else if (opt == "--words") {
-      a.cfg.words = std::strtoull(value(), nullptr, 0);
+      a.cfg.words = cli::parse_number(opt, value());
     } else if (opt == "--latency") {
-      a.cfg.bridge_latency =
-          sim::Time::ps(std::strtoull(value(), nullptr, 0));
+      a.cfg.bridge_latency = sim::Time::ps(cli::parse_number(opt, value()));
     } else if (opt == "--run") {
-      a.run_us = std::strtoull(value(), nullptr, 0);
+      a.run_us = cli::parse_number(opt, value());
     } else if (opt == "--seed") {
-      a.cfg.seed = std::strtoull(value(), nullptr, 0);
+      a.cfg.seed = cli::parse_number(opt, value());
     } else if (opt == "--checkers") {
       a.cfg.checkers = true;
     } else if (opt == "--stats") {
@@ -168,15 +168,7 @@ RunResult run_one(const Args& a, std::size_t shards, unsigned threads,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args a;
-  if (!parse(argc, argv, a)) {
-    usage();
-    return 2;
-  }
-
+int run(const Args& a) {
   if (a.dump_topo) {
     fabric::FabricSystem sys(a.cfg);
     std::printf("%s", sys.dump_topology().c_str());
@@ -214,4 +206,20 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", ok ? "FABRIC PASS" : "FABRIC FAIL");
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args a;
+  if (!parse(argc, argv, a)) {
+    usage();
+    return 2;
+  }
+  try {
+    return run(a);
+  } catch (const hlcs::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

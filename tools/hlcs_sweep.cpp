@@ -9,15 +9,15 @@
 //
 // --equiv [lanes] switches to the fig.4 viability loop instead: every
 // policy x client point is synthesised to RT level and verified against
-// the interpreted specification with the batched lane-parallel
-// equivalence engine, points sharded over the same worker pool.
+// the interpreted specification over that many seeded lanes (64 by
+// default, which run on the bit-parallel engine), points sharded over
+// the same worker pool.
 //
 // --lt switches to the loosely-timed refinement sweep: workload kind x
 // quantum length, each point replaying the same seeded stimuli through
 // the quantum-decoupled LT engine and the functional reference and
 // requiring transcript equality.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "hlcs/synth/synth.hpp"
 #include "hlcs/tlm/stimuli.hpp"
 #include "hlcs/verify/compare.hpp"
+#include "cli_number.hpp"
 
 namespace {
 
@@ -119,7 +120,7 @@ synth::ObjectDesc make_equiv_object() {
 
 void run_equiv_point(std::size_t index, std::string& transcript,
                      const synth::ObjectDesc& desc, const SweepConfig& cfg,
-                     std::size_t lanes, unsigned super, bool jit) {
+                     std::size_t lanes) {
   using namespace hlcs::synth;
   const std::size_t n_clients = std::size(kClientCounts);
   const PolicyKind policy = kPolicies[index / n_clients];
@@ -131,16 +132,14 @@ void run_equiv_point(std::size_t index, std::string& transcript,
       SynthOptions{.clients = static_cast<std::size_t>(clients),
                    .policy = policy},
       EquivOptions{.cycles = cfg.cycles, .seed = 0x5EED0 + index,
-                   .reset_percent = 3, .lanes = lanes, .batch = true,
-                   .superlanes = super, .jit = jit});
+                   .reset_percent = 3, .lanes = lanes});
   char line[160];
   std::snprintf(line, sizeof(line),
                 "%-15s clients=%-3d equiv=%s lanes=%zu cycles=%zu "
-                "grants=%zu scalar_frac=%.3f%s\n",
+                "grants=%zu scalar_frac=%.3f\n",
                 osss::policy_name(policy).c_str(), clients,
                 r.equal ? "PASS" : "FAIL", r.lanes, r.cycles, r.grants,
-                r.batch_scalar_fraction,
-                jit ? (r.jit_stats.enabled ? " jit=on" : " jit=off") : "");
+                r.batch_stats.scalar_fraction());
   transcript += line;
   if (!r.equal) {
     transcript += "  first mismatch: " + r.first_mismatch + "\n";
@@ -218,8 +217,6 @@ int main(int argc, char** argv) {
   bool equiv_mode = false;
   bool lt_mode = false;
   std::size_t equiv_lanes = 64;
-  unsigned equiv_super = 1;
-  bool equiv_jit = false;
   SweepConfig cfg;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--equiv")) {
@@ -228,49 +225,21 @@ int main(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") ==
               std::strlen(argv[i + 1])) {
-        equiv_lanes = static_cast<std::size_t>(std::strtoul(argv[++i],
-                                                            nullptr, 10));
+        equiv_lanes = cli::parse_number<std::size_t>("--equiv", argv[++i]);
       }
-    } else if (!std::strcmp(argv[i], "--super") && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' ||
-          (v != 0 && v != 1 && v != 4 && v != 8)) {
-        std::fprintf(stderr,
-                     "error: --super expects 1, 4, 8 or 0 (auto), got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      equiv_super = static_cast<unsigned>(v);
-    } else if (!std::strcmp(argv[i], "--jit")) {
-      equiv_jit = true;  // --equiv blocks run the native tape JIT
     } else if (!std::strcmp(argv[i], "--lt")) {
       lt_mode = true;
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "error: --threads expects a number, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      threads = static_cast<unsigned>(v);
+      threads = cli::parse_number<unsigned>("--threads", argv[++i]);
     } else if (!std::strcmp(argv[i], "--cycles") && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "error: --cycles expects a number, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      cfg.cycles = static_cast<std::uint64_t>(v);
+      cfg.cycles = cli::parse_number("--cycles", argv[++i]);
       cfg.cycles_set = true;
     } else if (!std::strcmp(argv[i], "--verify")) {
       verify = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--cycles N] [--verify] "
-                   "[--equiv [lanes]] [--super K] [--jit] [--lt]\n",
+                   "[--equiv [lanes]] [--lt]\n",
                    argv[0]);
       return 2;
     }
@@ -313,15 +282,14 @@ int main(int argc, char** argv) {
   }
 
   if (equiv_mode) {
-    // Fig.4 viability sweep: synthesise + batch-verify each point.  The
+    // Fig.4 viability sweep: synthesise + verify each point.  The
     // per-point verdicts are deterministic (root seed is the point
     // index), so any thread count produces the same transcript.
     if (!cfg.cycles_set) cfg.cycles = 200;  // per lane
     const synth::ObjectDesc desc = make_equiv_object();
     std::vector<std::string> lines(points);
     sim::parallel_for_indexed(points, threads, [&](std::size_t i) {
-      run_equiv_point(i, lines[i], desc, cfg, equiv_lanes, equiv_super,
-                      equiv_jit);
+      run_equiv_point(i, lines[i], desc, cfg, equiv_lanes);
     });
     bool all_pass = true;
     for (const std::string& l : lines) {
@@ -331,8 +299,7 @@ int main(int argc, char** argv) {
     if (verify) {
       std::vector<std::string> serial(points);
       sim::parallel_for_indexed(points, 1, [&](std::size_t i) {
-        run_equiv_point(i, serial[i], desc, cfg, equiv_lanes, equiv_super,
-                        equiv_jit);
+        run_equiv_point(i, serial[i], desc, cfg, equiv_lanes);
       });
       for (std::size_t i = 0; i < points; ++i) {
         if (serial[i] != lines[i]) {

@@ -24,6 +24,7 @@
 #include "hlcs/tlm/stimuli.hpp"
 #include "hlcs/verify/compare.hpp"
 #include "hlcs/verify/coverage.hpp"
+#include "cli_number.hpp"
 
 namespace {
 
@@ -40,32 +41,20 @@ int usage(const char* argv0) {
                "emitted (optimised, with --optimize) netlist for N cycles "
                "(default 1000; 0 = skip)\n"
                "  --seed S           stimulus seed for --check\n"
-               "  --equiv-batch [L]  run the check as L independently seeded "
-               "lanes (default 64)\n"
-               "                     on the bit-parallel engine (K*64 lanes "
-               "per tape\n"
-               "                     instruction); individual nets are limited "
-               "to 64 bits\n"
-               "                     (one bit-plane row per bit)\n"
-               "  --equiv-super K    superlane factor for --equiv-batch: 1, 4 "
-               "or 8 (K*64\n"
-               "                     lanes per instruction), or 0 to match "
-               "the host CPU's\n"
-               "                     SIMD width (default 1)\n"
-               "  --equiv-threads N  worker threads for --equiv-batch "
-               "(default 1, 0 = all cores)\n"
-               "  --equiv-jit [K]    run the check on the native tape JIT "
-               "(implies\n"
-               "                     --equiv-batch; optional K sets "
-               "--equiv-super).\n"
-               "                     Falls back to the interpreter on "
-               "unsupported hosts;\n"
-               "                     verdicts are bit-identical either way\n"
-               "  --stats            print batch engine counters (fused / "
-               "scalar-fallback\n"
-               "                     ops, per-opcode fusion hits) and, with "
-               "--equiv-jit,\n"
-               "                     JIT compile/deopt counters\n"
+               "  --lanes N          run the check as N independently "
+               "seeded lanes\n"
+               "                     (default 1); from 64 lanes they run on "
+               "the bit-parallel\n"
+               "                     engine, whose nets are limited to 64 "
+               "bits\n"
+               "  --equiv-threads N  worker threads for the bit-parallel "
+               "engine\n"
+               "                     (default 1, 0 = all cores)\n"
+               "  --stats            print the bit-parallel engine's "
+               "counters (fused /\n"
+               "                     scalar-fallback ops, per-opcode fusion "
+               "hits) and JIT\n"
+               "                     compile/deopt counters\n"
                "  -o FILE            write Verilog (default: stdout)\n"
                "  --testbench FILE   write a self-checking Verilog testbench\n"
                "  --report           print the resource report to stderr\n"
@@ -220,10 +209,7 @@ int main(int argc, char** argv) {
   std::size_t check_cycles = 1000;
   std::uint64_t seed = 0xCAFE;
   std::size_t equiv_lanes = 1;
-  bool equiv_batch = false;
   unsigned equiv_threads = 1;
-  unsigned equiv_super = 1;
-  bool equiv_jit = false;
   bool equiv_lt = false;
   std::size_t equiv_lt_txns = 40;
   bool do_stats = false;
@@ -241,7 +227,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--clients") {
-      opt.clients = static_cast<std::size_t>(std::stoul(next("count")));
+      opt.clients = hlcs::cli::parse_number<std::size_t>(a, next("count"));
     } else if (a == "--policy") {
       try {
         opt.policy = hlcs::osss::parse_policy(next("name"));
@@ -252,59 +238,22 @@ int main(int argc, char** argv) {
     } else if (a == "--optimize") {
       do_optimize = true;
     } else if (a == "--check") {
-      check_cycles = static_cast<std::size_t>(std::stoul(next("cycles")));
+      check_cycles = hlcs::cli::parse_number<std::size_t>(a, next("cycles"));
     } else if (a == "--seed") {
-      seed = std::stoull(next("seed"));
-    } else if (a == "--equiv-batch") {
-      equiv_batch = true;
-      equiv_lanes = 64;
-      // Optional lane count: consume the next argv only if it is a
-      // bare number, so `--equiv-batch -o out.v` still parses.
-      if (i + 1 < argc && argv[i + 1][0] != '\0' &&
-          std::strspn(argv[i + 1], "0123456789") ==
-              std::strlen(argv[i + 1])) {
-        equiv_lanes = static_cast<std::size_t>(std::stoul(argv[++i]));
-      }
-    } else if (a == "--equiv-jit") {
-      equiv_jit = true;
-      if (!equiv_batch) {
-        equiv_batch = true;
-        equiv_lanes = 64;
-      }
-      // Optional superlane factor, same bare-number idiom as
-      // --equiv-batch's lane count.
-      if (i + 1 < argc && argv[i + 1][0] != '\0' &&
-          std::strspn(argv[i + 1], "0123456789") ==
-              std::strlen(argv[i + 1])) {
-        equiv_super = static_cast<unsigned>(std::stoul(argv[++i]));
-        if (equiv_super != 0 && equiv_super != 1 && equiv_super != 4 &&
-            equiv_super != 8) {
-          std::fprintf(stderr,
-                       "--equiv-jit K must be 1, 4, 8 or 0 (auto), got %u\n",
-                       equiv_super);
-          return 2;
-        }
-      }
+      seed = hlcs::cli::parse_number(a, next("seed"));
+    } else if (a == "--lanes") {
+      equiv_lanes = hlcs::cli::parse_number<std::size_t>(a, next("count"));
     } else if (a == "--equiv-lt") {
       equiv_lt = true;
-      // Optional transaction count, same bare-number idiom as
-      // --equiv-batch's lane count.
+      // Optional transaction count: consume the next argv only if it is
+      // a bare number, so `--equiv-lt --stats` still parses.
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::strspn(argv[i + 1], "0123456789") ==
               std::strlen(argv[i + 1])) {
-        equiv_lt_txns = static_cast<std::size_t>(std::stoul(argv[++i]));
+        equiv_lt_txns = hlcs::cli::parse_number<std::size_t>(a, argv[++i]);
       }
     } else if (a == "--equiv-threads") {
-      equiv_threads = static_cast<unsigned>(std::stoul(next("count")));
-    } else if (a == "--equiv-super") {
-      equiv_super = static_cast<unsigned>(std::stoul(next("factor")));
-      if (equiv_super != 0 && equiv_super != 1 && equiv_super != 4 &&
-          equiv_super != 8) {
-        std::fprintf(stderr,
-                     "--equiv-super must be 1, 4, 8 or 0 (auto), got %u\n",
-                     equiv_super);
-        return 2;
-      }
+      equiv_threads = hlcs::cli::parse_number<unsigned>(a, next("count"));
     } else if (a == "--stats") {
       do_stats = true;
     } else if (a == "-o") {
@@ -443,70 +392,64 @@ int main(int argc, char** argv) {
       equiv = check_equivalence(
           desc, opt, nl,
           EquivOptions{.cycles = check_cycles, .seed = seed,
-                       .lanes = equiv_lanes, .batch = equiv_batch,
-                       .threads = equiv_threads, .superlanes = equiv_super,
-                       .jit = equiv_jit});
+                       .lanes = equiv_lanes, .threads = equiv_threads});
       if (!equiv) {
         std::fprintf(stderr, "EQUIVALENCE FAILED: %s\n",
                      equiv.first_mismatch.c_str());
         return 1;
       }
-      if (equiv_batch) {
+      const BatchStats& bs = equiv.batch_stats;
+      const bool batch = bs.settles > 0;
+      std::fprintf(stderr,
+                   "equivalence PASS: %zu lanes, %zu cycles total, %zu "
+                   "method grants (%s engine",
+                   equiv.lanes, equiv.cycles, equiv.grants,
+                   !batch                     ? "scalar"
+                   : equiv.jit_stats.enabled ? "batch jit"
+                                             : "batch interpreter");
+      if (batch) {
+        std::fprintf(stderr, ", %.1f%% scalar fallback",
+                     100.0 * bs.scalar_fraction());
+      }
+      std::fprintf(stderr, ")\n");
+      if (do_stats && batch) {
         std::fprintf(stderr,
-                     "equivalence PASS: %zu lanes, %zu cycles total, %zu "
-                     "method grants (batch, K=%u, %.1f%% scalar fallback%s)\n",
-                     equiv.lanes, equiv.cycles, equiv.grants,
-                     equiv_super == 0 ? cpu_superlanes() : equiv_super,
-                     100.0 * equiv.batch_scalar_fraction,
-                     equiv_jit ? (equiv.jit_stats.enabled
-                                      ? ", jit"
-                                      : ", jit unavailable")
-                               : "");
-        if (do_stats) {
-          const BatchStats& bs = equiv.batch_stats;
-          std::fprintf(stderr,
-                       "batch stats: %llu settles, %llu plane insns, %llu "
-                       "fused ops, %llu scalar ops (%llu scalar lane "
-                       "evals)\n",
-                       static_cast<unsigned long long>(bs.settles),
-                       static_cast<unsigned long long>(bs.plane_instructions),
-                       static_cast<unsigned long long>(bs.fused_ops),
-                       static_cast<unsigned long long>(bs.scalar_ops),
-                       static_cast<unsigned long long>(bs.scalar_lane_evals));
-          // Per-opcode fusion hits are a property of the compiled tape,
-          // not of how many cycles ran: compile one here to report them.
-          const BatchTape bt(nl);
-          for (const auto& [name, hits] : bt.fusion_hits()) {
-            if (hits == 0) continue;
-            std::fprintf(stderr, "  fused %-10s x%llu\n", name.c_str(),
-                         static_cast<unsigned long long>(hits));
-          }
-          if (equiv.jit_stats.enabled) {
-            const JitStats& js = equiv.jit_stats;
-            std::fprintf(
-                stderr,
-                "jit stats: %llu ns compile, %llu code bytes, %llu "
-                "stencils, %llu segments, %llu/%llu combs native, %llu "
-                "native calls, %llu deopt evals\n",
-                static_cast<unsigned long long>(js.compile_ns),
-                static_cast<unsigned long long>(js.code_bytes),
-                static_cast<unsigned long long>(js.stencils),
-                static_cast<unsigned long long>(js.segments),
-                static_cast<unsigned long long>(js.combs_native),
-                static_cast<unsigned long long>(js.combs_native +
-                                                js.combs_deopt),
-                static_cast<unsigned long long>(js.native_calls),
-                static_cast<unsigned long long>(js.deopt_comb_evals));
-            for (const auto& [name, hits] : js.deopt_hits()) {
-              std::fprintf(stderr, "  deopt %-10s x%llu\n", name.c_str(),
-                           static_cast<unsigned long long>(hits));
-            }
-          }
+                     "batch stats: %llu settles, %llu plane insns, %llu "
+                     "fused ops, %llu scalar ops (%llu scalar lane "
+                     "evals)\n",
+                     static_cast<unsigned long long>(bs.settles),
+                     static_cast<unsigned long long>(bs.plane_instructions),
+                     static_cast<unsigned long long>(bs.fused_ops),
+                     static_cast<unsigned long long>(bs.scalar_ops),
+                     static_cast<unsigned long long>(bs.scalar_lane_evals));
+        // Per-opcode fusion hits are a property of the compiled tape,
+        // not of how many cycles ran: compile one here to report them.
+        const BatchTape bt(nl);
+        for (const auto& [name, hits] : bt.fusion_hits()) {
+          if (hits == 0) continue;
+          std::fprintf(stderr, "  fused %-10s x%llu\n", name.c_str(),
+                       static_cast<unsigned long long>(hits));
         }
-      } else {
-        std::fprintf(stderr,
-                     "equivalence PASS: %zu cycles, %zu method grants\n",
-                     equiv.cycles, equiv.grants);
+      }
+      if (do_stats && equiv.jit_stats.enabled) {
+        const JitStats& js = equiv.jit_stats;
+        std::fprintf(
+            stderr,
+            "jit stats: %llu ns compile, %llu code bytes, %llu "
+            "stencils, %llu segments, %llu/%llu combs native, %llu "
+            "native calls, %llu deopt evals\n",
+            static_cast<unsigned long long>(js.compile_ns),
+            static_cast<unsigned long long>(js.code_bytes),
+            static_cast<unsigned long long>(js.stencils),
+            static_cast<unsigned long long>(js.segments),
+            static_cast<unsigned long long>(js.combs_native),
+            static_cast<unsigned long long>(js.combs_native + js.combs_deopt),
+            static_cast<unsigned long long>(js.native_calls),
+            static_cast<unsigned long long>(js.deopt_comb_evals));
+        for (const auto& [name, hits] : js.deopt_hits()) {
+          std::fprintf(stderr, "  deopt %-10s x%llu\n", name.c_str(),
+                       static_cast<unsigned long long>(hits));
+        }
       }
     }
 
