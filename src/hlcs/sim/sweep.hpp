@@ -24,8 +24,8 @@
 
 namespace hlcs::sim {
 
-/// The worker-pool core shared by ParallelSweep and the synth batch
-/// runner: run `fn(0) .. fn(n-1)` across `threads` workers, each index
+/// The worker-pool core shared by ParallelSweep and the lane blocks of
+/// synth::check_equivalence: run `fn(0) .. fn(n-1)` across `threads` workers, each index
 /// claimed dynamically off a shared atomic cursor.  `threads == 0`
 /// picks the hardware concurrency; `threads == 1` runs serially on the
 /// calling thread (no workers spawned).  If any call throws, the

@@ -1,14 +1,20 @@
 #include "hlcs/synth/equiv.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 
 #include "hlcs/sim/random.hpp"
-#include "hlcs/synth/batch_tape.hpp"
+#include "hlcs/sim/sweep.hpp"
 
 namespace hlcs::synth {
 
 namespace {
+
+/// Lanes per block, the unit a worker thread claims.  Fixed, so the
+/// partition -- and with it the summed JIT counters -- depends only on
+/// the lane count; each block compiles its own NetlistSim once.
+constexpr std::size_t kBlockLanes = 64;
 
 /// Port NetIds resolved once per netlist; the per-cycle hot loops index
 /// these instead of re-resolving names through Netlist::find.
@@ -39,8 +45,8 @@ Ports resolve_ports(const Netlist& nl, const ObjectDesc& desc,
 
 /// One lane's stimulus state: an independently seeded RNG plus the
 /// client request bookkeeping.  Stimulus depends only on this state and
-/// the golden model's grant decisions, never on RTL outputs, so every
-/// backend generates the identical stream for a given lane seed.
+/// the golden model's grant decisions, never on RTL outputs, so a lane
+/// generates the identical stream in any block or as a one-lane replay.
 struct LaneStim {
   sim::Xorshift rng{0};
   std::vector<GoldenCycleModel::ClientIn> in;
@@ -196,99 +202,6 @@ LaneOutcome run_scalar_lane(const ObjectDesc& desc, const SynthOptions& opt,
   return out;
 }
 
-/// One superlane block of the batch backend: a single BatchNetlistSim
-/// carries all the block's lanes' RTL state; per-lane golden models and
-/// stimulus run exactly the scalar loop's cycle structure.
-void run_batch_block(const ObjectDesc& desc, const SynthOptions& opt,
-                     const EquivOptions& eopt, const Netlist& nl,
-                     const Ports& ports, const BatchRunner::Block& blk,
-                     bool jit, LaneOutcome* outs,
-                     std::vector<EquivVector>* record, BatchStats* stats_out,
-                     JitStats* jit_out) {
-  const std::size_t lane0 = blk.lane0;
-  const std::size_t n = blk.lanes;
-  BatchNetlistSim rtl(nl, blk.super, jit);
-  std::vector<GoldenCycleModel> goldens;
-  goldens.reserve(n);
-  std::vector<LaneStim> stims(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    goldens.emplace_back(desc, opt);
-    stims[i].init(sim::lane_seed(eopt.seed, lane0 + i), opt.clients);
-  }
-  std::vector<std::uint8_t> rsts(n);
-  std::vector<GoldenCycleModel::StepResult> steps(n);
-  EquivVector vec;
-
-  for (std::size_t cycle = 0; cycle < eopt.cycles; ++cycle) {
-    // --- stimulus, all lanes ----------------------------------------
-    for (std::size_t i = 0; i < n; ++i) {
-      rsts[i] = stims[i].advance(eopt, desc.methods().size()) ? 1 : 0;
-      for (std::size_t c = 0; c < opt.clients; ++c) {
-        rtl.set_input(ports.req[c], i, stims[i].in[c].req ? 1 : 0);
-        rtl.set_input(ports.sel[c], i, stims[i].in[c].sel);
-        rtl.set_input(ports.args[c], i, stims[i].in[c].args);
-      }
-      rtl.set_input(ports.rst, i, rsts[i]);
-    }
-    rtl.settle();
-
-    // --- compare combinational grants/returns, per lane -------------
-    for (std::size_t i = 0; i < n; ++i) {
-      LaneOutcome& out = outs[i];
-      std::optional<std::size_t> rtl_grant;
-      for (std::size_t c = 0; c < opt.clients; ++c) {
-        if (rtl.get(ports.grant[c], i) != 0) {
-          if (rtl_grant) note_mismatch(out, cycle, "grant not one-hot");
-          rtl_grant = c;
-        }
-      }
-      steps[i] = goldens[i].step(stims[i].in, rsts[i] != 0);
-      const GoldenCycleModel::StepResult& g = steps[i];
-      if (rtl_grant != g.granted) {
-        note_mismatch(out, cycle,
-                      "grant differs (rtl=" +
-                          (rtl_grant ? std::to_string(*rtl_grant)
-                                     : std::string("none")) +
-                          " golden=" +
-                          (g.granted ? std::to_string(*g.granted)
-                                     : std::string("none")) +
-                          ")");
-      }
-      if (g.granted) {
-        const MethodDesc& m = desc.methods()[stims[i].in[*g.granted].sel];
-        if (m.ret_width > 0) {
-          const std::uint64_t rtl_ret = rtl.get(ports.ret[*g.granted], i) &
-                                        ExprArena::mask(m.ret_width);
-          if (rtl_ret != (g.ret & ExprArena::mask(m.ret_width))) {
-            note_mismatch(out, cycle,
-                          "return value differs on method " + m.name);
-          }
-        }
-        out.grants++;
-      }
-    }
-
-    // --- latch and compare state, per lane --------------------------
-    rtl.clock_edge();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t v = 0; v < desc.vars().size(); ++v) {
-        if (rtl.get(ports.vars[v], i) != goldens[i].var(v)) {
-          note_mismatch(outs[i], cycle,
-                        "state variable '" + desc.vars()[v].name +
-                            "' differs");
-        }
-      }
-      if (record && i == 0) {
-        record_vector(*record, vec, rsts[0] != 0, stims[0], steps[0],
-                      goldens[0], desc);
-      }
-      stims[i].react(steps[i].granted, rsts[i] != 0);
-    }
-  }
-  if (stats_out) *stats_out = rtl.stats();
-  if (jit_out && rtl.jit_stats()) *jit_out = *rtl.jit_stats();
-}
-
 std::string lane_prefix(std::size_t lane, std::uint64_t seed) {
   std::ostringstream os;
   os << "lane " << lane << " (seed 0x" << std::hex << seed << "): ";
@@ -296,13 +209,11 @@ std::string lane_prefix(std::size_t lane, std::uint64_t seed) {
 }
 
 /// Fold per-lane outcomes (in lane order) into the result and, on a
-/// mismatch, regenerate the failing lane's diagnostics on the scalar
-/// engine.  `batch` marks that the outcomes came from the batch
-/// backend, whose verdict the scalar re-run then cross-checks.
+/// mismatch, re-run the failing lane alone to record its vectors.
 void merge_outcomes(EquivResult& result, const std::vector<LaneOutcome>& outs,
                     const ObjectDesc& desc, const SynthOptions& opt,
                     const EquivOptions& eopt, const Netlist& nl,
-                    const Ports& ports, bool batch) {
+                    const Ports& ports) {
   result.lanes = outs.size();
   result.cycles = eopt.cycles * outs.size();
   for (const LaneOutcome& o : outs) result.grants += o.grants;
@@ -314,19 +225,10 @@ void merge_outcomes(EquivResult& result, const std::vector<LaneOutcome>& outs,
     result.first_bad_seed = sim::lane_root(eopt.seed, lane);
     result.first_mismatch =
         lane_prefix(lane, result.first_bad_seed) + outs[lane].mismatch;
-    // Replay the failing lane alone on the scalar engine so the
-    // recorded vectors (and, in batch mode, an independent verdict)
-    // describe the counterexample rather than lane 0.
+    // The recorded vectors describe the counterexample, not lane 0.
     NetlistSim rtl(nl);
     result.vectors.clear();
-    const LaneOutcome replay = run_scalar_lane(desc, opt, eopt, ports, rtl,
-                                               lane, &result.vectors);
-    if (batch && replay.equal) {
-      // The scalar engine disagrees with the batch verdict: a batch
-      // engine defect, worth saying so instead of blaming the design.
-      result.first_mismatch +=
-          " [batch-only: scalar replay of this lane passed]";
-    }
+    run_scalar_lane(desc, opt, eopt, ports, rtl, lane, &result.vectors);
     return;
   }
 }
@@ -347,36 +249,25 @@ EquivResult check_equivalence(const ObjectDesc& desc, const SynthOptions& opt,
   result.vectors.reserve(eopt.cycles);
   std::vector<LaneOutcome> outs(lanes);
 
-  const bool batch = lanes >= BatchTape::kLanes;
-  if (batch) {
-    // K = 1 through the batch JIT, or the interpreter at the host's
-    // native superlane width.  Per-block stats land in a block-indexed
-    // vector and are summed in block order afterwards, so the totals
-    // (like the verdicts) are identical at any thread count.
-    const bool jit = BatchJit::host_supported();
-    const unsigned super = jit ? 1 : cpu_superlanes();
-    const std::size_t nblocks = BatchRunner::block_count(lanes, super);
-    std::vector<BatchStats> stats(nblocks);
-    std::vector<JitStats> jstats(nblocks);
-    BatchRunner::run(lanes, eopt.threads, super,
-                     [&](std::size_t block, const BatchRunner::Block& blk) {
-                       run_batch_block(desc, opt, eopt, nl, ports, blk, jit,
-                                       outs.data() + blk.lane0,
-                                       block == 0 ? &result.vectors : nullptr,
-                                       &stats[block], &jstats[block]);
-                     });
-    for (const BatchStats& s : stats) result.batch_stats += s;
-    for (const JitStats& s : jstats) result.jit_stats += s;
-  } else {
+  // Each block runs its lanes one after another on its own NetlistSim
+  // and writes only its own outcome and JIT-counter slots, so the merge
+  // below sees the same data at any thread count.
+  const std::size_t nblocks = (lanes + kBlockLanes - 1) / kBlockLanes;
+  std::vector<JitStats> jstats(nblocks);
+  sim::parallel_for_indexed(nblocks, eopt.threads, [&](std::size_t block) {
+    const std::size_t lane0 = block * kBlockLanes;
+    const std::size_t end = std::min(lanes, lane0 + kBlockLanes);
     NetlistSim rtl(nl);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (lane > 0) rtl.reset_state();  // inputs are re-driven every cycle
+    for (std::size_t lane = lane0; lane < end; ++lane) {
+      if (lane > lane0) rtl.reset_state();  // inputs are re-driven every cycle
       outs[lane] = run_scalar_lane(desc, opt, eopt, ports, rtl, lane,
                                    lane == 0 ? &result.vectors : nullptr);
     }
-  }
+    if (const JitStats* js = rtl.jit_stats()) jstats[block] = *js;
+  });
+  for (const JitStats& s : jstats) result.jit_stats += s;
 
-  merge_outcomes(result, outs, desc, opt, eopt, nl, ports, batch);
+  merge_outcomes(result, outs, desc, opt, eopt, nl, ports);
   return result;
 }
 

@@ -13,25 +13,21 @@
 // streams (lane i's RNG is seeded with sim::lane_seed(seed, i)), each a
 // complete lock-step run.  More lanes = more coverage from one
 // invocation, and any failure names the lane and a root seed that
-// replays it standalone.  The engine follows from the lane count: from
-// BatchTape::kLanes (64) lanes up, lanes run in blocks on the
-// bit-parallel engine (synth::BatchNetlistSim: 64 at a time through the
-// batch JIT where the host has one, else K*64 on the interpreter),
-// sharding blocks across worker threads; below that, one scalar
-// NetlistSim runs the lanes one after another.  64 is where the batch
-// engine overtakes the scalar one (docs/PERF.md, "The netlist execution
-// engine").
-// Stimulus depends only on each lane's RNG and the golden model, never
-// on RTL outputs, so both engines produce identical verdicts at any
-// thread or lane count; the first mismatching lane is re-run on the
-// scalar engine to regenerate the single-lane EquivVector diagnostics.
+// replays it standalone.  Every lane runs on NetlistSim (native through
+// TapeJit where the host has it, on the tape interpreter otherwise).
+// The lanes are cut into fixed 64-lane blocks, each with its own
+// NetlistSim running its lanes one after another, and the blocks are
+// sharded across worker threads.  Stimulus depends only on each lane's
+// RNG and the golden model, never on RTL outputs, and outcomes are
+// merged in lane order, so verdicts are identical at any thread count;
+// the first mismatching lane is re-run alone to regenerate its
+// EquivVector diagnostics.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/comm_synth.hpp"
 #include "hlcs/synth/golden.hpp"
 #include "hlcs/synth/rtl_sim.hpp"
@@ -47,10 +43,9 @@ struct EquivOptions {
   unsigned reroll_after = 5;
   /// Probability (percent, per cycle) of pulsing the synchronous reset.
   unsigned reset_percent = 0;
-  /// Independently seeded stimulus streams, each `cycles` long.  From
-  /// BatchTape::kLanes lanes up they run on the batch engine.
+  /// Independently seeded stimulus streams, each `cycles` long.
   std::size_t lanes = 1;
-  /// Worker threads for the batch engine (one lane block per claim);
+  /// Worker threads, each claiming one 64-lane block at a time;
   /// 0 = hardware concurrency.
   unsigned threads = 1;
 };
@@ -81,13 +76,8 @@ struct EquivResult {
   /// exactly that lane's stimulus (sim::lane_root).
   std::size_t first_bad_lane = 0;
   std::uint64_t first_bad_seed = 0;
-  /// Batch engine only: engine counters summed over every block (fused
-  /// superinstructions executed, scalar-fallback tape instructions,
-  /// plane instructions, ...).  settles == 0 means the scalar engine ran.
-  BatchStats batch_stats;
-  /// Batch engine on the JIT only: compile/runtime counters summed over
-  /// every block in block order.  enabled is false when the batch
-  /// interpreter (or the scalar engine) ran.
+  /// JIT compile/runtime counters of every block's NetlistSim, summed in
+  /// block order.  enabled is false when the tape interpreter ran.
   JitStats jit_stats;
 
   explicit operator bool() const { return equal; }

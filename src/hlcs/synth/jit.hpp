@@ -1,31 +1,22 @@
 // Native code generation for TapeProgram evaluation.
 //
-// Two compilers share one copy-and-patch backend (jit_emit_x64.hpp):
+// TapeJit lowers the scalar bytecode tape to straight-line x86-64
+// through a copy-and-patch backend (jit_emit_x64.hpp).  The virtual
+// value stack is register-allocated -- depths 0..4 live permanently in
+// {rax, rcx, rdx, r8, r9}, deeper values spill to a small rsp frame --
+// so a whole comb becomes one branch-free run of ALU ops ending in a
+// store to its target net.  Consecutive compilable combs are
+// concatenated into segment functions, which is where the win over the
+// interpreter comes from: no dispatch, no stack traffic, and values stay
+// register-cached across combs.  NetlistSim settles through it wherever
+// the host supports it.
 //
-//  * TapeJit lowers the scalar bytecode tape to straight-line x86-64.
-//    The virtual value stack is register-allocated -- depths 0..4 live
-//    permanently in {rax, rcx, rdx, r8, r9}, deeper values spill to a
-//    small rsp frame -- so a whole comb becomes one branch-free run of
-//    ALU ops ending in a store to its target net.  Consecutive
-//    compilable combs are concatenated into segment functions, which is
-//    where the win over the interpreter comes from: no dispatch, no
-//    stack traffic, and values that a fused interpreter pair would
-//    re-load stay register-cached across the pair.  NetlistSim settles
-//    through it wherever the host supports it.
-//
-//  * BatchJit lowers the same tape over 64-lane bit-plane rows (the
-//    BatchTape layout at K = 1): every plane-friendly op unrolls to w
-//    machine ops, with ripple carry/borrow chains for Add/Sub/Neg and
-//    the ordered compares carried in r8.  It drops into BatchNetlistSim
-//    behind a constructor flag.
-//
-// Combs whose tape contains Mul or a data-dependent shift (Shl/Shr) --
-// the same set the batch engine classifies as scalar -- deopt per comb
-// back to the interpreter, with per-opcode counters; non-x86-64 hosts
-// or HLCS_JIT=OFF builds simply report host_supported() == false and
-// the callers fall back wholesale to the interpreter.  Verdicts are
-// bit-identical to the interpreter (tests/synth/test_jit.cpp is the
-// matrix).
+// Combs whose tape contains Mul or a data-dependent shift (Shl/Shr)
+// deopt per comb back to the interpreter, with per-opcode counters;
+// non-x86-64 hosts or HLCS_JIT=OFF builds simply report
+// host_supported() == false and NetlistSim falls back wholesale to the
+// interpreter.  Verdicts are bit-identical to the interpreter
+// (tests/synth/test_jit.cpp is the matrix).
 #pragma once
 
 #include <array>
@@ -40,16 +31,13 @@
 
 namespace hlcs::synth {
 
-class BatchTape;
-struct BatchStats;
-
 constexpr std::size_t kNumTapeOps = static_cast<std::size_t>(TapeOp::Mux) + 1;
 
 /// Printable tape opcode name, for the deopt counters.
 const char* tape_op_name(TapeOp op);
 
 /// Observability counters for a JIT compilation + its runtime behaviour,
-/// reported through the same --stats path as the batch fusion counters.
+/// reported by hlcs_synth --stats.
 struct JitStats {
   bool enabled = false;           ///< native code was installed
   std::uint64_t compile_ns = 0;   ///< emission + page install time
@@ -106,45 +94,6 @@ private:
   std::vector<Step> steps_;
   jitx64::CodeBuffer code_;
   std::uint32_t spill_slots_ = 0;
-  JitStats stats_;
-};
-
-/// 64-lane tape -> native code over a K = 1 BatchTape's plane layout
-/// (available() is false at any other K).  The BatchTape reference must
-/// outlive the BatchJit; deopted combs are routed back through the
-/// BatchTape interpreter (scalar fallback or plane interpreter), so
-/// verdicts stay bit-identical per comb.
-class BatchJit {
-public:
-  static bool host_supported() { return TapeJit::host_supported(); }
-
-  explicit BatchJit(BatchTape& bt);
-
-  bool available() const { return code_.installed(); }
-
-  /// One full settle's worth of comb evaluation over `planes`,
-  /// maintaining the same BatchStats accounting as BatchTape::run_all.
-  void run_all(std::uint64_t* planes, BatchStats& stats);
-
-  const JitStats& stats() const { return stats_; }
-
-private:
-  bool emit_comb(jitx64::X64Emitter& e, std::size_t ci);
-
-  struct Step {
-    bool native;
-    std::uint32_t arg;
-  };
-
-  BatchTape& bt_;
-  std::vector<Step> steps_;
-  jitx64::CodeBuffer code_;
-  std::vector<std::uint64_t> scratch_;  ///< stack + slot plane regions
-  std::vector<unsigned> slot_w_;        ///< emit-time slot widths
-  std::vector<std::uint8_t> slot_set_;  ///< slot stored in current comb
-  // Per-settle stat constants for the combs left on the interpreter.
-  std::uint64_t interp_plane_insns_ = 0;
-  std::uint64_t interp_fused_ = 0;
   JitStats stats_;
 };
 

@@ -18,11 +18,9 @@ namespace hlcs::synth::jitx64 {
 
 namespace {
 
-/// /r opcode bytes for the r/m64 <- r/m64 OP r64 form; the reversed
-/// (r64 <- OP r/m64) form is op + 2, the imm32 form uses 0x81 with the
-/// extension digit below.
+/// /r opcode bytes for the r/m64 <- r/m64 OP r64 form; the imm32 form
+/// uses 0x81 with the extension digit below.
 constexpr std::uint8_t kAluMR[] = {0x01, 0x09, 0x21, 0x29, 0x31, 0x39};
-constexpr std::uint8_t kAluRM[] = {0x03, 0x0B, 0x23, 0x2B, 0x33, 0x3B};
 constexpr std::uint8_t kAluExt[] = {0, 1, 4, 5, 6, 7};
 
 }  // namespace
@@ -119,12 +117,6 @@ void X64Emitter::alu_rr(Alu op, Reg dst, Reg src) {
   u8(static_cast<std::uint8_t>(0xC0 | ((src & 7) << 3) | (dst & 7)));
 }
 
-void X64Emitter::alu_rm(Alu op, Reg dst, Reg base, std::int32_t disp) {
-  rex(true, dst, base);
-  u8(kAluRM[static_cast<std::size_t>(op)]);
-  modrm_mem(dst, base, disp);
-}
-
 void X64Emitter::alu_ri32(Alu op, Reg r, std::int32_t imm) {
   rex(true, 0, r);
   u8(0x81);
@@ -194,16 +186,6 @@ void X64Emitter::cmov_rm(Cond c, Reg dst, Reg base, std::int32_t disp) {
   u8(0x0F);
   u8(static_cast<std::uint8_t>(0x40 | static_cast<std::uint8_t>(c)));
   modrm_mem(dst, base, disp);
-}
-
-void X64Emitter::push_r(Reg r) {
-  if (r >= 8) u8(0x41);
-  u8(static_cast<std::uint8_t>(0x50 | (r & 7)));
-}
-
-void X64Emitter::pop_r(Reg r) {
-  if (r >= 8) u8(0x41);
-  u8(static_cast<std::uint8_t>(0x58 | (r & 7)));
 }
 
 void X64Emitter::sub_rsp(std::int32_t n) {

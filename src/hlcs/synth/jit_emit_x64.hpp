@@ -58,8 +58,6 @@ public:
 
   // --- ALU ----------------------------------------------------------
   void alu_rr(Alu op, Reg dst, Reg src);  ///< dst = dst OP src
-  /// dst = dst OP [base+disp].
-  void alu_rm(Alu op, Reg dst, Reg base, std::int32_t disp);
   /// r = r OP sign-extended imm32.
   void alu_ri32(Alu op, Reg r, std::int32_t imm);
   void not_r(Reg r);
@@ -75,8 +73,6 @@ public:
   void cmov_rm(Cond c, Reg dst, Reg base, std::int32_t disp);
 
   // --- stack / control ----------------------------------------------
-  void push_r(Reg r);
-  void pop_r(Reg r);
   void sub_rsp(std::int32_t n);
   void add_rsp(std::int32_t n);
   void ret();

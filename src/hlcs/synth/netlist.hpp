@@ -46,8 +46,8 @@ public:
       throw SynthesisError(name_ + ": net '" + net_name + "' is " +
                            std::to_string(width) +
                            " bits wide; nets are limited to 1..64 bits (the "
-                           "simulation engines keep one bit-plane row per "
-                           "bit of a 64-bit word)");
+                           "simulation engines store values in 64-bit "
+                           "words)");
     }
     const NetId id = static_cast<NetId>(nets_.size());
     if (!index_.emplace(net_name, id).second) {

@@ -833,12 +833,10 @@ private:
     }
     if (t.value < 1 || t.value > 64) {
       // Name the offender and the actual limit: widths are bounded by
-      // the 64-bit words every engine (and the bit-plane rows of the
-      // batch engine) stores values in.
+      // the 64-bit words every engine stores values in.
       lex_.error(what + " is " + std::to_string(t.value) +
                      " bits wide; widths are limited to 1..64 bits (values "
-                     "are stored in 64-bit words, one bit-plane row per "
-                     "bit)",
+                     "are stored in 64-bit words)",
                  t);
     }
     return static_cast<unsigned>(t.value);

@@ -1,7 +1,6 @@
 // Umbrella header for the communication-synthesis layer.
 #pragma once
 
-#include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/comm_synth.hpp"
 #include "hlcs/synth/equiv.hpp"
 #include "hlcs/synth/expr.hpp"

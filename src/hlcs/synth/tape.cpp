@@ -48,7 +48,6 @@ struct CombCompiler {
   std::uint32_t epoch = 0;
 
   std::vector<ExprId> reach;         // cone of the current root
-  std::vector<NetId> sources;        // nets read by the current root
   std::vector<ExprId> walk;          // DFS scratch
   std::vector<std::uint64_t> visit;  // emit scratch: (id << 1) | post
 
@@ -74,7 +73,6 @@ struct CombCompiler {
   void analyze(ExprId root) {
     ++epoch;
     reach.clear();
-    sources.clear();
     walk.clear();
     walk.push_back(root);
     stamp[root] = epoch;
@@ -84,10 +82,7 @@ struct CombCompiler {
       const ExprId id = walk.back();
       walk.pop_back();
       const ExprNode& n = arena.at(id);
-      if (n.op == ExprOp::Var) {
-        sources.push_back(static_cast<NetId>(n.imm));
-        continue;
-      }
+      if (n.op == ExprOp::Var) continue;
       for (ExprId ch : {n.a, n.b, n.c}) {
         if (ch == kNoExpr) continue;
         if (stamp[ch] == epoch) {
@@ -100,8 +95,6 @@ struct CombCompiler {
         }
       }
     }
-    std::sort(sources.begin(), sources.end());
-    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   }
 
   /// Compile one comb expression; returns the slot count it used.
@@ -213,8 +206,6 @@ TapeProgram TapeProgram::compile(const Netlist& nl) {
 
   CombCompiler cc(nl.arena(), p.code_);
   p.combs_.reserve(combs.size());
-  p.sources_off_.reserve(order.size() + 1);
-  p.sources_off_.push_back(0);
   for (std::size_t ci : order) {
     const CombAssign& c = combs[ci];
     TapeComb tc;
@@ -222,8 +213,6 @@ TapeProgram TapeProgram::compile(const Netlist& nl) {
     tc.begin = static_cast<std::uint32_t>(p.code_.size());
     cc.compile(c.value);
     tc.end = static_cast<std::uint32_t>(p.code_.size());
-    p.sources_.insert(p.sources_.end(), cc.sources.begin(), cc.sources.end());
-    p.sources_off_.push_back(static_cast<std::uint32_t>(p.sources_.size()));
     p.max_stack_ = std::max(p.max_stack_,
                             static_cast<std::uint32_t>(cc.max_depth));
     p.max_slots_ = std::max(p.max_slots_, cc.n_slots);

@@ -6,9 +6,6 @@
 // subexpressions shared through the arena DAG (after the optimizer's
 // hash-consing CSE) are computed once into a scratch slot and re-pushed,
 // so the tape length tracks the DAG size, not the expanded tree size.
-//
-// The program also records which nets each comb reads, for the batch
-// engine's per-lane scalar fallback.
 #pragma once
 
 #include <cstdint>
@@ -128,15 +125,6 @@ public:
   std::uint32_t max_stack() const { return max_stack_; }
   std::uint32_t max_slots() const { return max_slots_; }
 
-  /// Nets read by comb `ci` (sorted, deduplicated), used by the batch
-  /// engine's scalar-fallback gather.
-  const NetId* sources_begin(std::uint32_t ci) const {
-    return sources_.data() + sources_off_[ci];
-  }
-  const NetId* sources_end(std::uint32_t ci) const {
-    return sources_.data() + sources_off_[ci + 1];
-  }
-
   std::uint64_t run(const TapeComb& c, const std::uint64_t* nets,
                     std::uint64_t* stack, std::uint64_t* slots) const {
     return tape_exec(code_.data() + c.begin, code_.data() + c.end, nets, stack,
@@ -146,8 +134,6 @@ public:
 private:
   std::vector<TapeInsn> code_;
   std::vector<TapeComb> combs_;
-  std::vector<std::uint32_t> sources_off_;  ///< size combs()+1
-  std::vector<NetId> sources_;
   std::uint32_t max_stack_ = 0;
   std::uint32_t max_slots_ = 0;
 };

@@ -12,7 +12,6 @@
 
 #include "hlcs/check/check.hpp"
 #include "hlcs/sim/random.hpp"
-#include "hlcs/synth/batch_tape.hpp"
 #include "hlcs/synth/tape.hpp"
 #include "hlcs/synth/verilog.hpp"
 #include "../synth/netlist_gen.hpp"
@@ -222,13 +221,12 @@ TEST(CheckLowering, LockstepManySeeds) {
 }
 
 TEST(CheckLowering, BatchedLockstep64Lanes) {
-  // The same behavioural-vs-RT lock-step, but 64 independently seeded
-  // stimulus lanes at once on the bit-parallel engine: every lane's
+  // The same behavioural-vs-RT lock-step over 64 independently seeded
+  // stimulus lanes, run one after another on NetlistSim: every lane's
   // verdict nets must match its own behavioural monitor on every edge.
   const Automaton a = compile(kitchen_sink());
   const synth::Netlist nl = lower(a);
-  synth::BatchNetlistSim sim(nl);
-  constexpr std::size_t kLanes = synth::BatchNetlistSim::kLanes;
+  constexpr std::size_t kLanes = 64;
 
   const synth::NetId rst = nl.find("rst");
   std::vector<synth::NetId> sigs;
@@ -244,54 +242,43 @@ TEST(CheckLowering, BatchedLockstep64Lanes) {
                         nl.find(p.name + "_fail")});
   }
 
-  std::vector<AutomatonEval> evs;
-  std::vector<RefEval> refs;
-  std::vector<sim::Xorshift> rngs;
-  evs.reserve(kLanes);
-  refs.reserve(kLanes);
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    evs.emplace_back(a);
-    refs.emplace_back(a);
-    rngs.emplace_back(sim::lane_seed(0xC4EC, lane));
-  }
-  std::vector<std::vector<std::uint64_t>> samples(
-      kLanes, std::vector<std::uint64_t>(a.signals.size()));
-  std::vector<std::uint8_t> disabled(kLanes);
+  std::vector<std::uint64_t> samples(a.signals.size());
   std::vector<AutomatonEval::Verdict> vb, vr;
   std::uint64_t resolved = 0;
 
-  for (int t = 0; t < 300; ++t) {
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      auto& rng = rngs[lane];
-      samples[lane][0] = rng.chance(1, 2);
-      samples[lane][1] = rng.chance(1, 2);
-      samples[lane][2] = rng.chance(1, 4) ? (rng.next() & 0xFF) : rng.below(4);
-      samples[lane][3] = rng.chance(1, 4) ? (rng.next() & 0xFF) : rng.below(4);
-      disabled[lane] = rng.chance(1, 16) ? 1 : 0;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    synth::NetlistSim sim(nl);
+    AutomatonEval ev(a);
+    RefEval ref(a);
+    sim::Xorshift rng(sim::lane_seed(0xC4EC, lane));
+    for (int t = 0; t < 300; ++t) {
+      samples[0] = rng.chance(1, 2);
+      samples[1] = rng.chance(1, 2);
+      samples[2] = rng.chance(1, 4) ? (rng.next() & 0xFF) : rng.below(4);
+      samples[3] = rng.chance(1, 4) ? (rng.next() & 0xFF) : rng.below(4);
+      const bool disabled = rng.chance(1, 16);
       for (std::size_t i = 0; i < sigs.size(); ++i) {
-        sim.set_input(sigs[i], lane, samples[lane][i]);
+        sim.set_input(sigs[i], samples[i]);
       }
-      sim.set_input(rst, lane, disabled[lane]);
-    }
-    sim.settle();
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      evs[lane].step(samples[lane], disabled[lane] != 0, vb);
-      refs[lane].step(samples[lane], disabled[lane] != 0, vr);
-      ASSERT_EQ(oracle_diff(a, evs[lane], vb, refs[lane], vr), "")
+      sim.set_input(rst, disabled ? 1 : 0);
+      sim.settle();
+      ev.step(samples, disabled, vb);
+      ref.step(samples, disabled, vr);
+      ASSERT_EQ(oracle_diff(a, ev, vb, ref, vr), "")
           << "lane " << lane << " edge " << t;
       for (std::size_t i = 0; i < outs.size(); ++i) {
-        ASSERT_EQ(vb[i].attempt, sim.get(outs[i].attempt, lane))
+        ASSERT_EQ(vb[i].attempt, sim.get(outs[i].attempt))
             << "lane " << lane << " edge " << t << " " << a.props[i].name;
-        ASSERT_EQ(vb[i].pass, sim.get(outs[i].pass, lane))
+        ASSERT_EQ(vb[i].pass, sim.get(outs[i].pass))
             << "lane " << lane << " edge " << t << " " << a.props[i].name;
-        ASSERT_EQ(vb[i].fail, sim.get(outs[i].fail, lane))
+        ASSERT_EQ(vb[i].fail, sim.get(outs[i].fail))
             << "lane " << lane << " edge " << t << " " << a.props[i].name;
-        ASSERT_EQ(vb[i].vacuous, sim.get(outs[i].vacuous, lane))
+        ASSERT_EQ(vb[i].vacuous, sim.get(outs[i].vacuous))
             << "lane " << lane << " edge " << t << " " << a.props[i].name;
         resolved += vb[i].pass + vb[i].fail;
       }
+      sim.clock_edge();
     }
-    sim.clock_edge();
   }
   EXPECT_GT(resolved, 0u);
 }

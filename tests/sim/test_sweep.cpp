@@ -83,6 +83,22 @@ TEST(ParallelSweep, ScenarioExceptionPropagates) {
   EXPECT_EQ(completed.load(), 7);
 }
 
+TEST(ParallelForIndexed, PropagatesTheLowestIndexError) {
+  // Every index from 1 up throws; whichever worker fails first, every
+  // index still runs and the rethrown error is index 1's.
+  std::atomic<int> ran{0};
+  try {
+    sim::parallel_for_indexed(4, 3, [&](std::size_t i) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      if (i >= 1) throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+  }
+  EXPECT_EQ(ran.load(), 4);
+}
+
 TEST(ParallelSweep, MoreThreadsThanPointsIsFine) {
   sim::ParallelSweep sweep(scenario);
   auto r = sweep.run(2, 16);

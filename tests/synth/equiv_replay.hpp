@@ -1,7 +1,7 @@
-// Engine parity for check_equivalence without an engine switch: an
-// N-lane check (the batch engine from BatchTape::kLanes lanes up)
-// against N one-lane replays (the scalar engine).  Lane i of root seed S
-// replays standalone as a one-lane run rooted at sim::lane_root(S, i).
+// Block sharding and merging in check_equivalence: an N-lane check (its
+// lanes cut into 64-lane blocks, merged in lane order) against N
+// one-lane replays.  Lane i of root seed S replays standalone as a
+// one-lane run rooted at sim::lane_root(S, i).
 #pragma once
 
 #include <gtest/gtest.h>

@@ -1,8 +1,8 @@
-// Seeded random netlist generation shared by the tape and batch-engine
+// Seeded random netlist generation shared by the tape and JIT
 // bit-identity suites: DAG-shaped expressions with shared subtrees (to
 // exercise slot CSE), the full operator set including word arithmetic
-// (to exercise the batch engine's scalar fallback), and registers
-// feeding back into the logic.
+// (to exercise the JIT's per-comb deopt), and registers feeding back
+// into the logic.
 //
 // OracleSim is the test oracle every netlist engine is checked against.
 #pragma once

@@ -157,11 +157,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SynthFuzz,
                          ::testing::Range<std::uint64_t>(1, 26));
 
 TEST(SynthFuzzBatch, BatchAndScalarBackendsAgreeOnFuzzObjects) {
-  // Same objects, both engines, full-result identity: a 64-lane check
-  // on the batch engine against its one-lane replays on the scalar
-  // engine.  Fuzz objects are arithmetic-heavy, so the batch engine's
-  // scalar fallback (Add/Sub/Mul/compare combs) must not leak any
-  // difference into verdicts, grants or recorded vectors.
+  // Same objects, full-result identity: a 64-lane check against its
+  // one-lane replays.  Fuzz objects are arithmetic-heavy (Add/Sub/Mul/
+  // compare combs, which the JIT partly deopts), and no difference may
+  // leak into verdicts, grants or recorded vectors.
   for (std::uint64_t seed : {3u, 11u, 19u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ObjectDesc d = random_object(seed);

@@ -14,7 +14,7 @@ JOBS="${2:-2}"
 TARGETS="test_synth_expr test_synth_object_interp test_synth_netlist_sim \
 test_synth_comm_synth test_synth_verilog_report test_synth_poly \
 test_synth_equiv test_synth_golden test_synth_fuzz test_synth_optimize \
-test_synth_parser test_synth_tape test_synth_batch test_synth_jit \
+test_synth_parser test_synth_tape test_synth_jit \
 test_vcd_reader \
 test_trace_roundtrip \
 test_check_property test_check_lowering \

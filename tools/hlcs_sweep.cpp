@@ -10,8 +10,7 @@
 // --equiv [lanes] switches to the fig.4 viability loop instead: every
 // policy x client point is synthesised to RT level and verified against
 // the interpreted specification over that many seeded lanes (64 by
-// default, which run on the bit-parallel engine), points sharded over
-// the same worker pool.
+// default), points sharded over the same worker pool.
 //
 // --lt switches to the loosely-timed refinement sweep: workload kind x
 // quantum length, each point replaying the same seeded stimuli through
@@ -90,8 +89,7 @@ void run_point(std::size_t index, sim::Kernel& k, std::string& transcript,
 }
 
 /// A small comb-dominated shared object for the --equiv sweep: xor/and/
-/// mux datapaths keep the batch engine on the bit-parallel path, so the
-/// sweep exercises exactly what the fig.4 loop batches.
+/// mux datapaths, all of which the JIT compiles natively.
 synth::ObjectDesc make_equiv_object() {
   using namespace hlcs::synth;
   ObjectDesc d("sweep_mix");
@@ -136,10 +134,9 @@ void run_equiv_point(std::size_t index, std::string& transcript,
   char line[160];
   std::snprintf(line, sizeof(line),
                 "%-15s clients=%-3d equiv=%s lanes=%zu cycles=%zu "
-                "grants=%zu scalar_frac=%.3f\n",
+                "grants=%zu\n",
                 osss::policy_name(policy).c_str(), clients,
-                r.equal ? "PASS" : "FAIL", r.lanes, r.cycles, r.grants,
-                r.batch_stats.scalar_fraction());
+                r.equal ? "PASS" : "FAIL", r.lanes, r.cycles, r.grants);
   transcript += line;
   if (!r.equal) {
     transcript += "  first mismatch: " + r.first_mismatch + "\n";

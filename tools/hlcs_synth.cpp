@@ -35,7 +35,8 @@ int usage(const char* argv0) {
                "       %s --equiv-lt [N] [--seed S] [--stats]\n"
                "  --clients N        number of connected clients (default 1)\n"
                "  --policy P         fifo | round_robin | static_priority | "
-               "random (default static_priority)\n"
+               "random |\n"
+               "                     adaptive (default static_priority)\n"
                "  --optimize         run constant folding / simplification\n"
                "  --check N          lock-step equivalence check of the "
                "emitted (optimised, with --optimize) netlist for N cycles "
@@ -43,18 +44,12 @@ int usage(const char* argv0) {
                "  --seed S           stimulus seed for --check\n"
                "  --lanes N          run the check as N independently "
                "seeded lanes\n"
-               "                     (default 1); from 64 lanes they run on "
-               "the bit-parallel\n"
-               "                     engine, whose nets are limited to 64 "
-               "bits\n"
-               "  --equiv-threads N  worker threads for the bit-parallel "
-               "engine\n"
-               "                     (default 1, 0 = all cores)\n"
-               "  --stats            print the bit-parallel engine's "
-               "counters (fused /\n"
-               "                     scalar-fallback ops, per-opcode fusion "
-               "hits) and JIT\n"
-               "                     compile/deopt counters\n"
+               "                     (default 1), in blocks of 64 lanes\n"
+               "  --equiv-threads N  worker threads for the lane blocks "
+               "(default 1,\n"
+               "                     0 = all cores)\n"
+               "  --stats            print the JIT's compile/deopt counters "
+               "for --check\n"
                "  -o FILE            write Verilog (default: stdout)\n"
                "  --testbench FILE   write a self-checking Verilog testbench\n"
                "  --report           print the resource report to stderr\n"
@@ -398,39 +393,10 @@ int main(int argc, char** argv) {
                      equiv.first_mismatch.c_str());
         return 1;
       }
-      const BatchStats& bs = equiv.batch_stats;
-      const bool batch = bs.settles > 0;
       std::fprintf(stderr,
                    "equivalence PASS: %zu lanes, %zu cycles total, %zu "
-                   "method grants (%s engine",
-                   equiv.lanes, equiv.cycles, equiv.grants,
-                   !batch                     ? "scalar"
-                   : equiv.jit_stats.enabled ? "batch jit"
-                                             : "batch interpreter");
-      if (batch) {
-        std::fprintf(stderr, ", %.1f%% scalar fallback",
-                     100.0 * bs.scalar_fraction());
-      }
-      std::fprintf(stderr, ")\n");
-      if (do_stats && batch) {
-        std::fprintf(stderr,
-                     "batch stats: %llu settles, %llu plane insns, %llu "
-                     "fused ops, %llu scalar ops (%llu scalar lane "
-                     "evals)\n",
-                     static_cast<unsigned long long>(bs.settles),
-                     static_cast<unsigned long long>(bs.plane_instructions),
-                     static_cast<unsigned long long>(bs.fused_ops),
-                     static_cast<unsigned long long>(bs.scalar_ops),
-                     static_cast<unsigned long long>(bs.scalar_lane_evals));
-        // Per-opcode fusion hits are a property of the compiled tape,
-        // not of how many cycles ran: compile one here to report them.
-        const BatchTape bt(nl);
-        for (const auto& [name, hits] : bt.fusion_hits()) {
-          if (hits == 0) continue;
-          std::fprintf(stderr, "  fused %-10s x%llu\n", name.c_str(),
-                       static_cast<unsigned long long>(hits));
-        }
-      }
+                   "method grants\n",
+                   equiv.lanes, equiv.cycles, equiv.grants);
       if (do_stats && equiv.jit_stats.enabled) {
         const JitStats& js = equiv.jit_stats;
         std::fprintf(

@@ -2,10 +2,10 @@
 # Tier-1 interpreter-only leg: configure a tree with -DHLCS_JIT=OFF (the
 # emitter compiles out, host_supported() reports false, every JIT
 # request silently falls back to the bytecode tape) and run the JIT
-# parity suite, the batch suite, and the scalar-engine suites against
-# it.  This is the proof that non-x86-64 hosts keep working: NetlistSim
-# and the batch engine run on the interpreter alone and must still
-# match the test oracle.
+# parity suite and the netlist-engine suites against it.  This is the
+# proof that non-x86-64 hosts keep working: NetlistSim and
+# check_equivalence run on the interpreter alone and must still match
+# the test oracle.
 #
 # Usage: jit_off_suite.sh <source-dir> [jobs]
 set -eu
@@ -13,7 +13,7 @@ set -eu
 SRC="${1:?usage: jit_off_suite.sh <source-dir> [jobs]}"
 JOBS="${2:-2}"
 
-TARGETS="test_synth_jit test_synth_batch test_synth_tape \
+TARGETS="test_synth_jit test_synth_tape \
 test_synth_netlist_sim test_synth_equiv test_check_lowering"
 
 cd "$SRC"
